@@ -23,7 +23,14 @@ __all__ = ["TFMAEConfig", "PAPER_PRESETS", "preset_for"]
 
 def _default_jit_cache() -> int:
     """Default tape-LRU capacity; ``REPRO_JIT_CACHE`` overrides it."""
-    return int(os.environ.get("REPRO_JIT_CACHE", "8"))
+    raw = os.environ.get("REPRO_JIT_CACHE", "8")
+    try:
+        size = int(raw)
+    except ValueError:
+        size = 0  # not an integer: rejected below
+    if size < 1:
+        raise ValueError(f"REPRO_JIT_CACHE must be a positive integer, got {raw!r}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -59,9 +66,12 @@ class TFMAEConfig:
     # softly on untraceable steps.  The process-wide
     # repro.nn.jit_train.set_train_jit toggle gates it as well.
     train_jit: bool = True
-    # Most cached tapes per model (scoring) and per trainer (train step);
-    # the REPRO_JIT_CACHE env var overrides the default of 8.  Evictions
-    # are counted on the model/train-step objects for the benches.
+    # LRU capacity in cached tapes, per model (scoring) and per trainer
+    # (train step); the REPRO_JIT_CACHE env var overrides the default of
+    # 8.  Scoring tapes are keyed per window shape and replay at every
+    # batch size, so a serving model needs one entry per window shape,
+    # dtype and fused policy.  Evictions are counted on the model and
+    # train-step objects for the benches.
     jit_cache_size: int = field(default_factory=_default_jit_cache)
 
     # --- masking ---

@@ -19,6 +19,9 @@ which keeps the "w/o Fre"/"w/o Tem" rows of Table IV trainable.
 
 from __future__ import annotations
 
+import contextlib
+from collections import OrderedDict
+
 import numpy as np
 
 from .. import nn
@@ -43,6 +46,9 @@ class TemporalBranch(Module):
 
     Produces ``P^(L)`` of shape ``(batch, T, D)`` from raw windows.
     """
+
+    #: Prelude slots holding one row per window (leading batch axis).
+    batch_slots = ("t_mask", "t_rows", "t_unmasked", "t_pe_unmasked")
 
     def __init__(self, n_features: int, config: TFMAEConfig, rng: np.random.Generator):
         super().__init__()
@@ -162,6 +168,9 @@ class FrequencyBranch(Module):
     Produces ``F^(L)`` of shape ``(batch, T, D)`` from raw windows.
     """
 
+    #: Prelude slots holding one row per window (leading batch axis).
+    batch_slots = ("f_fixed", "f_cos", "f_sin")
+
     def __init__(self, n_features: int, config: TFMAEConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
@@ -260,14 +269,22 @@ class TFMAEModel(Module):
         else:
             self.frequency = None
 
-        # Compiled scoring tapes keyed (window shape, compute dtype,
-        # fused policy); _UNSUPPORTED negative-caches untraceable keys.
-        # Capacity comes from config.jit_cache_size (REPRO_JIT_CACHE env
-        # overrides the default); evictions are counted for the benches.
-        self._tapes: dict = {}
+        # Compiled scoring tapes keyed ((time, features), compute dtype,
+        # fused policy): the batch size is not in the key, since a tape
+        # replays at every batch size (one a reshape pinned to its
+        # traced size is retraced in place at another).  _UNSUPPORTED
+        # negative-caches untraceable keys.  An LRU of
+        # config.jit_cache_size entries (REPRO_JIT_CACHE env overrides the
+        # default); evictions are counted for the benches.
+        self._tapes: OrderedDict = OrderedDict()
         self.jit_evictions = 0
 
         self._dual = self.temporal is not None and self.frequency is not None
+        # Scoring slots with one row per window: the tape's batch axis.
+        self._batch_slots = ("windows",) + tuple(
+            name for branch in (self.temporal, self.frequency)
+            if branch is not None for name in branch.batch_slots
+        )
         if not self._dual:
             # Single-branch ablations fall back to reconstruction; they
             # need an output head mapping D back to N.
@@ -382,8 +399,10 @@ class TFMAEModel(Module):
 
         When tape-replay scoring is enabled (:func:`repro.nn.jit.use_jit`,
         the default) the tensor-graph stage runs from a compiled tape
-        after the first call per (shape, dtype, fused-policy) key; replay
-        output is bitwise-identical to the interpreted graph.
+        after the first call per (window shape, dtype, fused-policy) key.
+        The window shape is ``(time, features)``: one tape replays at
+        every batch size, and replay output is bitwise-identical to the
+        interpreted graph.
         """
         if jit.jit_enabled():
             return self._jit_score(windows)
@@ -425,26 +444,43 @@ class TFMAEModel(Module):
             return np.array(data, dtype=np.float64)  # repro: noqa[F64001]
         return data.mean(axis=-1).astype(np.float64, copy=False)  # repro: noqa[F64001]
 
+    def _touch_tape(self, key) -> None:
+        """LRU touch: move ``key`` to the most-recent end.
+
+        ``move_to_end`` never takes the key out of the dict, so serving
+        workers sharing it keep hitting; a key another worker evicted
+        meanwhile stays out.
+        """
+        with contextlib.suppress(KeyError):
+            self._tapes.move_to_end(key)
+
     def _jit_score(self, windows: np.ndarray) -> np.ndarray:
         self._validate_windows(windows)
-        key = (windows.shape, self.compute_dtype, fused.fused_enabled())
+        key = (windows.shape[1:], self.compute_dtype, fused.fused_enabled())
         with nn.no_grad(), nn.default_dtype(self.compute_dtype):
             slots = self._score_prelude(windows)
             tape = self._tapes.get(key)
             if tape is _UNSUPPORTED:
+                self._touch_tape(key)
                 score = self._score_graph(slots)
                 return self._score_post(score.data, interpreted=True)
             if tape is not None:
-                if tape.guards_ok():
+                if not tape.guards_ok():
+                    # A parameter array was rebound (checkpoint load,
+                    # publish, dtype cast): every cached tape refers to
+                    # stale arrays.
+                    self._tapes.clear()
+                elif tape.replays_at(len(windows)):
+                    self._touch_tape(key)
                     return self._score_post(tape.replay(slots))
-                # A parameter array was rebound (checkpoint load, publish,
-                # dtype cast): every cached tape refers to stale arrays.
-                self._tapes.clear()
             out, tape = jit.trace(
-                lambda: self._score_graph(slots), slots, self.parameters()
+                lambda: self._score_graph(slots), slots, self.parameters(),
+                batch_slots=self._batch_slots,
             )
+            # A tape pinned to another batch size is replaced in place.
             self._tapes[key] = tape if tape is not None else _UNSUPPORTED
+            self._touch_tape(key)
             while len(self._tapes) > self.config.jit_cache_size:
-                self._tapes.pop(next(iter(self._tapes)))
+                self._tapes.popitem(last=False)
                 self.jit_evictions += 1
             return self._score_post(out.data, interpreted=True)

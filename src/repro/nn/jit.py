@@ -24,6 +24,26 @@ never uses.  This module removes all of it from the scoring hot path:
    wrapping, zero graph construction, zero per-step dispatch, zero
    per-op allocation for the buffered steps.
 
+**Batch polymorphism.**  The caller may name the input slots that hold
+one row per window (``batch_slots``).  Every value derived from them by
+data flow is *batch-major*: its leading axis is the batch, never a
+baked size.  Such a tape replays at any batch size ``B``, read from the
+first batch slot on each call: reshape targets are emitted as
+``(B, ...)``, and each batch-major frame buffer is allocated at the
+largest ``B`` seen on its thread and replayed through a ``buf[:B]``
+prefix view.  A prefix view is C-contiguous with the same layout as a
+fresh array of that shape, so every kernel call stays bitwise-identical
+to the interpreted graph at that ``B``.  Batch-ness is never inferred
+from dimension values (the window length may equal the batch size): a
+batch-major step whose leading dimension is not the batch, or an op
+that reduces, indexes or moves axis 0 of a batch-major value, raises
+:class:`TraceUnsupported`.  A reshape target is plain ints, though, so
+when another of its dimensions equals the traced ``B`` the trace cannot
+tell which one the program meant as the batch; such a tape replays only
+at its traced batch size (:meth:`Tape.replays_at`), and a call at
+another size traces again.  A literal target entry that equals the
+traced ``B`` is still read as the batch.
+
 Argument references are resolved **by identity** at trace time:
 
 * an array produced by an earlier traced op → that step's output;
@@ -162,13 +182,19 @@ class _TapeBuilder:
     RNG consumed by the caller's prelude is consumed exactly once).
     """
 
-    def __init__(self, slots: dict, params) -> None:
-        self._slot_ids = {
-            id(value): name
+    def __init__(self, slots: dict, params, batch_slots=()) -> None:
+        self.slot_arrays = {
+            name: value
             for name, value in slots.items()
             if isinstance(value, np.ndarray)
         }
+        self._slot_ids = {id(value): name for name, value in self.slot_arrays.items()}
         self._param_ids = {id(p.data): p for p in params}
+        #: The declared batch slots this call provides, in declaration
+        #: order; the first one carries ``B`` at replay.
+        self.batch_slots = tuple(
+            name for name in batch_slots if name in self.slot_arrays
+        )
         self.steps: list[_Step] = []
         self.tensor_step: dict[int, int] = {}
         # Every observed output tensor is kept alive for the duration of
@@ -253,7 +279,7 @@ class _TapeBuilder:
         return meta
 
 
-def trace(fn, slots: dict, params):
+def trace(fn, slots: dict, params, batch_slots):
     """Run ``fn()`` once under the tape builder.
 
     Returns ``(out, tape)`` where ``out`` is the traced call's own
@@ -261,8 +287,12 @@ def trace(fn, slots: dict, params):
     ``tape`` is a compiled :class:`Tape`, or ``None`` when the forward
     hit a trace-unsupported op (negative-cache the key and stay on the
     interpreted path).
+
+    ``batch_slots`` names the slots holding one row per window; the tape
+    replays at every batch size (see the module docstring).  A call that
+    provides none of them does not compile.
     """
-    builder = _TapeBuilder(slots, params)
+    builder = _TapeBuilder(slots, params, batch_slots)
     with op_hook(builder):
         out = fn()
     if builder.failed is not None or id(out) not in builder.tensor_step:
@@ -337,6 +367,143 @@ def _scratch_specs(step: _Step):
     return ()
 
 
+#: Broadcasting ops whose output has the rank of their widest operand.
+_ELEMENTWISE = frozenset({
+    "add", "mul", "div", "neg", "exp", "log", "sqrt", "tanh", "abs", "pow",
+    "sigmoid", "relu", "clip", "where", "fused_gelu", "fused_dropout_residual",
+    "fused_layer_norm", "fused_softmax", "fused_log_softmax",
+})
+
+
+def _axes(axis, ndim: int) -> set:
+    """Normalized axes of an ``axis`` argument (``None`` is every axis)."""
+    if axis is None:
+        return set(range(ndim))
+    return {int(a) % ndim for a in np.atleast_1d(axis)}
+
+
+def _index_elements(spec) -> tuple:
+    tag, payload = spec
+    return payload if tag == "tuple" else (payload,)
+
+
+def _batch_major(builder: _TapeBuilder) -> tuple[list[bool], int]:
+    """Mark the steps that carry the batch axis, by data flow.
+
+    A step is batch-major when an operand, index or condition is a
+    declared batch slot or an earlier batch-major step.  Each such step
+    is checked to treat axis 0 row by row, so a replay at another batch
+    size runs the same kernels over more or fewer rows.  Returns the
+    marks and the traced batch size.
+    """
+    arrays = builder.slot_arrays
+    names = builder.batch_slots
+    if not names:
+        raise TraceUnsupported("no batch slot in this call")
+    batch = arrays[names[0]].shape[:1]
+    if not batch or any(arrays[name].shape[:1] != batch for name in names):
+        raise TraceUnsupported("batch slots do not share a leading batch axis")
+    batch = batch[0]
+    major: list[bool] = []
+
+    def carries(ref) -> bool:
+        kind, payload = ref
+        if kind == _STEP:
+            return major[payload]
+        return kind == _SLOT and payload in names
+
+    for step in builder.steps:
+        flags = [carries(ref) for ref in step.refs]
+        if step.op in ("getitem", "scatter"):
+            extra = _index_elements(step.meta["index"])
+        elif step.op == "where":
+            extra = (step.meta["condition"],)
+        else:
+            extra = ()
+        marked = any(flags) or any(carries(ref) for ref in extra)
+        if marked:
+            _check_rowwise(step, flags, batch, carries, arrays)
+        major.append(marked)
+    return major, batch
+
+
+def _pins_batch(step: _Step, batch: int) -> bool:
+    """Whether a batch-major reshape cannot tell the batch from data.
+
+    Its target's leading entry is emitted as ``B``, but the target is
+    plain ints: if another dimension of its input or target equals the
+    traced batch (the window length ``T == B``, say), the program may
+    have meant that one.  The tape is then valid at the traced batch
+    size only.
+    """
+    return batch in step.parent_datas[0].shape[1:] + tuple(step.meta["shape"])[1:]
+
+
+def _check_rowwise(step: _Step, flags, batch, carries, arrays) -> None:
+    """Raise :class:`TraceUnsupported` unless ``step`` keeps axis 0 as the
+    batch: its output leads with the batch, and it neither reduces,
+    indexes, joins along nor moves that axis."""
+    op, out = step.op, step.out_data
+
+    def fail(why: str):
+        raise TraceUnsupported(f"batch-major {op} {why}")
+
+    if out.ndim == 0 or out.shape[0] != batch:
+        fail(f"output {out.shape} does not lead with the batch ({batch})")
+    shapes = [data.shape for data in step.parent_datas]
+    if op == "where":
+        kind, payload = step.meta["condition"]
+        shapes.append(arrays[payload].shape if kind == _SLOT else np.shape(payload))
+        flags = [*flags, carries(step.meta["condition"])]
+    if op in _ELEMENTWISE or op in ("matmul", "fused_attention"):
+        for position, (shape, flag) in enumerate(zip(shapes, flags)):
+            if op in ("matmul", "fused_attention") and len(shape) < 3:
+                # Matrix operands: only matmul's left one may be batch rows.
+                if flag and not (op == "matmul" and position == 0
+                                 and len(shape) == out.ndim == 2):
+                    fail("contracts the batch axis")
+            elif flag and len(shape) != out.ndim:
+                fail("broadcasts a batch-major operand past axis 0")
+            elif not flag and len(shape) == out.ndim and shape[0] != 1:
+                fail(f"has a fixed operand {shape} along the batch axis")
+    if op in ("sum", "max", "max_stat"):
+        if 0 in _axes(step.meta["axis"], len(shapes[0])):
+            fail("reduces the batch axis")
+    elif op in ("fused_softmax", "fused_log_softmax"):
+        if 0 in _axes(step.meta["axis"], out.ndim):
+            fail("normalizes over the batch axis")
+    elif op == "fused_layer_norm" and out.ndim < 2:
+        fail("normalizes over the batch axis")
+    elif op == "transpose":
+        # ``transpose(*axes)`` or ``transpose(axes)``: the full order.
+        if int(np.ravel(step.meta["axes"])[0]) % out.ndim != 0:
+            fail("moves the batch axis")
+    elif op in ("concat", "stack"):
+        if not all(flags):
+            fail("joins batch-major and fixed operands")
+        if 0 in _axes(step.meta["axis"], out.ndim):
+            fail("joins along the batch axis")
+    elif op in ("getitem", "scatter"):
+        elements = _index_elements(step.meta["index"]) or ((_CONST, ()),)
+        index_arrays = [ref for ref in elements
+                        if ref[0] == _SLOT or isinstance(ref[1], np.ndarray)]
+        if carries(elements[0]):
+            # Advanced indexing led by batch index arrays: the result
+            # leads with their broadcast shape, whose axis 0 is the batch.
+            ndim = arrays[elements[0][1]].ndim
+            for kind, payload in index_arrays:
+                if not carries((kind, payload)) or arrays[payload].ndim != ndim:
+                    fail("mixes batch and fixed index arrays")
+                if arrays[payload].dtype == bool:
+                    fail("masks the batch axis")
+            return
+        # Otherwise only basic indexing behind a leading ``:`` keeps axis 0.
+        head = elements[0][1] if elements[0][0] == _CONST else None
+        whole = isinstance(head, slice) and head == slice(None)
+        if op == "scatter" or not flags[0] or not whole or index_arrays:
+            fail("indexes the batch axis")
+
+
 class _Codegen:
     """Accumulates the generated replay source and its constant pool.
 
@@ -347,9 +514,13 @@ class _Codegen:
     the function's globals.  This removes all per-step dispatch — no
     closure calls, no argument getters, no env list — leaving only the
     raw numpy kernel sequence.
+
+    ``batch_steps`` holds the batch-major step indices; their shape
+    literals lead with the replay's ``B`` instead of the traced size.
     """
 
-    def __init__(self):
+    def __init__(self, batch_steps=frozenset()):
+        self.batch_steps = batch_steps
         self.lines: list[str] = []
         self.consts: list = []
         self.slot_vars: dict[str, str] = {}
@@ -373,6 +544,13 @@ class _Codegen:
         if isinstance(obj, tuple) and all(type(x) is int for x in obj):
             return repr(obj)
         return self.const(obj)
+
+    def shape(self, i: int, shape) -> str:
+        """Source for step ``i``'s traced ``shape`` argument, with the
+        leading entry bound to ``B`` if the step is batch-major."""
+        if i not in self.batch_steps:
+            return self.lit(shape)
+        return "(" + ", ".join(["B", *(str(int(d)) for d in shape[1:])]) + ",)"
 
     def slot(self, name: str) -> str:
         var = self.slot_vars.get(name)
@@ -419,7 +597,9 @@ class Tape:
     Buffers live in a **per-thread frame** (created lazily on first
     replay on each thread), so concurrent serving workers replaying the
     same tape never collide, while repeated calls on one thread reuse
-    the same memory with zero allocation for buffered steps.
+    the same memory with zero allocation for buffered steps.  Each
+    thread's batch-major buffers are sized for the largest batch it has
+    replayed; the frame is reallocated only when a larger batch arrives.
     """
 
     def __init__(self, builder: _TapeBuilder, out_id: int):
@@ -428,13 +608,20 @@ class Tape:
         self._out_step = builder.tensor_step[out_id]
         self._tls = threading.local()
 
+        major, batch = _batch_major(builder)
+        if not major[self._out_step]:
+            raise TraceUnsupported("tape output does not carry the batch axis")
+
         n = len(steps)
         kinds = [None] * n
         roots: list[int | None] = [None] * n
         for i, step in enumerate(steps):
             kind = _classify(step)
             kinds[i] = kind
-            if kind == "view":
+            # Whether a batch-major reshape views or copies is numpy's
+            # call at each B, so for liveness it counts as a view of its
+            # parent whatever the traced call did.
+            if kind == "view" or (major[i] and step.op == "reshape"):
                 ref_kind, payload = step.refs[0]
                 # A view of an input slot or constant owns no frame
                 # storage; a view of a step chains to that step's root.
@@ -461,46 +648,56 @@ class Tape:
             if kinds[i] == "buffer":
                 deaths.setdefault(last_use.get(i, i), []).append(i)
 
-        specs: list[tuple[tuple[int, ...], np.dtype]] = []
+        # Buffers are pooled by (batch-major?, shape, dtype), where a
+        # batch-major buffer's shape omits its leading (batch) axis.
+        specs: list[tuple[bool, tuple[int, ...], np.dtype]] = []
         free: dict[tuple, list[tuple[int, int]]] = {}
         buffer_of: dict[int, int] = {}
 
-        def acquire(shape, dtype, at):
-            key = (shape, str(dtype))
+        def pool_key(shape, dtype, rows):
+            if rows and (not shape or shape[0] != batch):
+                raise TraceUnsupported(f"buffer {shape} does not lead with the batch")
+            return (rows, tuple(shape[1:]) if rows else tuple(shape), str(dtype))
+
+        def acquire(shape, dtype, at, rows):
+            key = pool_key(shape, dtype, rows)
             pool = free.get(key)
             if pool:
                 for slot, (buf_id, avail_from) in enumerate(pool):
                     if avail_from <= at:
                         pool.pop(slot)
                         return buf_id
-            specs.append((shape, np.dtype(dtype)))
+            specs.append((rows, key[1], np.dtype(dtype)))
             return len(specs) - 1
 
-        def release(buf_id, shape, dtype, avail_from):
-            free.setdefault((shape, str(dtype)), []).append((buf_id, avail_from))
+        def release(buf_id, shape, dtype, avail_from, rows):
+            key = pool_key(shape, dtype, rows)
+            free.setdefault(key, []).append((buf_id, avail_from))
 
-        codegen = _Codegen()
+        codegen = _Codegen(frozenset(i for i in range(n) if major[i]))
         for i, step in enumerate(steps):
             buf_id = None
             scratch_ids = []
             if kinds[i] == "buffer":
                 shape, dtype = step.out_data.shape, step.out_data.dtype
-                buf_id = acquire(shape, dtype, i)
+                buf_id = acquire(shape, dtype, i, major[i])
                 buffer_of[i] = buf_id
                 scratch = _scratch_specs(step)
                 for s_shape, s_dtype in scratch:
-                    scratch_ids.append(acquire(s_shape, s_dtype, i))
+                    scratch_ids.append(acquire(s_shape, s_dtype, i, major[i]))
                 for sid, (s_shape, s_dtype) in zip(scratch_ids, scratch):
-                    release(sid, s_shape, s_dtype, i + 1)
+                    release(sid, s_shape, s_dtype, i + 1, major[i])
             _COMPILERS[step.op](codegen, i, step, kinds[i], buf_id, scratch_ids)
             # Buffers whose root dies here become reusable from i + 1 —
             # never at i itself, so a kernel cannot alias its own inputs.
             for root in deaths.get(i, ()):
                 owner = steps[root].out_data
-                release(buffer_of[root], owner.shape, owner.dtype, i + 1)
+                release(buffer_of[root], owner.shape, owner.dtype, i + 1, major[root])
 
+        # Batch-major buffers replay through prefix views of the frame's
+        # largest-batch allocation.
         frame_lines = [
-            f"    f{buf_id} = frame[{buf_id}]"
+            f"    f{buf_id} = frame[{buf_id}]" + ("[:B]" if specs[buf_id][0] else "")
             for buf_id in sorted(codegen.used_buffers)
         ]
         body = (
@@ -520,7 +717,7 @@ class Tape:
             key=len,
             reverse=True,
         )
-        header_args = "slots, frame"
+        header_args = "slots, frame, B"
         for name in hoisted:
             local = "np_" + name.replace(".", "_")
             body = [line.replace(f"np.{name}(", f"{local}(") for line in body]
@@ -535,6 +732,11 @@ class Tape:
         exec(compile(self.source, "<repro.nn.jit.Tape>", "exec"), namespace)
         self._fn = namespace["_replay"]
         self._frame_specs = tuple(specs)
+        self._batch_slot = builder.batch_slots[0]
+        self._pinned_batch = batch if any(
+            major[i] and step.op == "reshape" and _pins_batch(step, batch)
+            for i, step in enumerate(steps)
+        ) else None
         #: step and planned-buffer counts, exposed for tests/diagnostics.
         self.num_steps = n
         self.num_buffers = len(specs)
@@ -546,18 +748,32 @@ class Tape:
                 return False
         return True
 
+    def replays_at(self, batch: int) -> bool:
+        """Whether the tape replays a call of ``batch`` rows: any size,
+        unless a reshape pinned it to its traced size (see
+        :func:`_pins_batch`)."""
+        return self._pinned_batch in (None, batch)
+
     def replay(self, slots: dict) -> np.ndarray:
         """Execute the tape over fresh ``slots``; returns the output array.
 
         The result may live in a reused frame buffer — callers that
         retain it across calls must copy.
         """
-        frame = getattr(self._tls, "frame", None)
-        if frame is None:
-            frame = self._tls.frame = [
-                np.empty(shape, dtype) for shape, dtype in self._frame_specs
+        batch = slots[self._batch_slot].shape[0]
+        tls = self._tls
+        frame = getattr(tls, "frame", None)
+        if frame is None or batch > tls.rows:
+            # The frame grows only when a larger batch arrives; smaller
+            # ones replay through prefix views of the same buffers.  The
+            # smaller frame is dropped first so the two never coexist.
+            frame = tls.frame = None
+            tls.rows = batch
+            frame = tls.frame = [
+                np.empty((batch, *shape) if rows else shape, dtype)
+                for rows, shape, dtype in self._frame_specs
             ]
-        return self._fn(slots, frame)
+        return self._fn(slots, frame, batch)
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +851,7 @@ def _emit_transpose(cg, i, step, kind, buf_id, scratch_ids):
 
 
 def _emit_reshape(cg, i, step, kind, buf_id, scratch_ids):
-    cg.emit(f"e{i} = {cg.ref(step.refs[0])}.reshape({cg.lit(step.meta['shape'])})")
+    cg.emit(f"e{i} = {cg.ref(step.refs[0])}.reshape({cg.shape(i, step.meta['shape'])})")
 
 
 def _emit_getitem(cg, i, step, kind, buf_id, scratch_ids):

@@ -60,6 +60,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
@@ -1297,11 +1298,12 @@ class TrainStep:
     """Dispatches train steps to compiled tapes, specializing per batch.
 
     One instance lives on each trainer, keyed by
-    ``(batch shape, dtype, fused policy)`` — the config and compute
-    dtype are fixed per model, so together this matches the scoring
-    JIT's specialization.  Unsupported keys are negative-cached; stale
-    guards (checkpoint restore, rollback, refit) clear the cache and
-    retrace.  ``begin`` runs the model's loss prelude exactly once per
+    ``(batch shape, dtype, fused policy)`` in an LRU of ``cache_size``
+    entries — the config and compute dtype are fixed per model, and a
+    fit sees at most two batch shapes (full and remainder), so unlike
+    the scoring JIT the key keeps the batch size.  Unsupported keys are
+    negative-cached; stale guards (checkpoint restore, rollback, refit)
+    clear the cache and retrace.  ``begin`` runs the model's loss prelude exactly once per
     batch on every path, so the RNG stream is identical whether a batch
     interprets, traces or replays.
     """
@@ -1311,7 +1313,7 @@ class TrainStep:
         self.optimizer = optimizer
         self.enabled = bool(enabled)
         self.cache_size = int(cache_size)
-        self._tapes = {}
+        self._tapes = OrderedDict()
         #: diagnostics for the benches: tape-LRU evictions, trace count,
         #: compiled replays, interpreted fallbacks.
         self.evictions = 0
@@ -1344,10 +1346,12 @@ class TrainStep:
             key = (arr.shape, str(arr.dtype), fused_enabled())
             tape = self._tapes.get(key)
             if tape is _UNSUPPORTED:
+                self._tapes.move_to_end(key)  # LRU hit
                 self.fallbacks += 1
                 return _InterpretedHandle(model, slots, self.optimizer)
             if tape is not None:
                 if tape.guards_ok(self.optimizer):
+                    self._tapes.move_to_end(key)  # LRU hit
                     self.replays += 1
                     return _CompiledHandle(tape, slots, self.optimizer)
                 self._tapes.clear()
@@ -1361,5 +1365,5 @@ class TrainStep:
             self._tapes[key] = tape
             self.traces += 1
         while len(self._tapes) > self.cache_size:
-            self._tapes.pop(next(iter(self._tapes)))
+            self._tapes.popitem(last=False)
             self.evictions += 1

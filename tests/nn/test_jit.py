@@ -1,4 +1,4 @@
-"""Tape-replay JIT: bitwise equivalence, guards, cache keys, fallback.
+"""Tape-replay JIT: bitwise equivalence, guards, cache keys, mixed batches, fallback.
 
 The contract of :mod:`repro.nn.jit` is strict: replay output must be
 *bitwise* identical to the interpreted graph — every kernel emitter
@@ -16,9 +16,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.core import TFMAE, TFMAEConfig
-from repro.core.model import _UNSUPPORTED
-from repro.nn import fused, jit
+from repro.core.model import _UNSUPPORTED, TFMAEModel
+from repro.nn import Tensor, fused, jit
 
 
 def _sine_series(rng, length, features=1):
@@ -173,22 +174,305 @@ class TestGuards:
 
 class TestTapeCache:
     def test_keys_specialize_shape_dtype_fused(self):
+        # Batch 3 matches no dimension of this model's reshapes (a batch
+        # of 2 would equal num_heads and pin the tape to batch 2).
         detector = _fitted("default", "float64")
         model = detector.model
         model._tapes.clear()
         with jit.use_jit(True):
-            model.score_windows(_windows(detector, batch=2))
+            model.score_windows(_windows(detector, batch=3))
             assert len(model._tapes) == 1
-            model.score_windows(_windows(detector, batch=2))
+            model.score_windows(_windows(detector, batch=3))
             assert len(model._tapes) == 1  # same key, cache hit
+            tape = next(iter(model._tapes.values()))
             model.score_windows(_windows(detector, batch=5))
-            assert len(model._tapes) == 2  # new batch shape
+            assert len(model._tapes) == 1  # batch 5 replays the batch-3 tape
+            assert next(iter(model._tapes.values())) is tape
+            longer = np.concatenate([_windows(detector, batch=3)] * 2, axis=1)
+            model.score_windows(longer)
+            assert len(model._tapes) == 2  # new window length, new key
             with fused.use_fused(False):
-                model.score_windows(_windows(detector, batch=2))
+                model.score_windows(_windows(detector, batch=3))
             assert len(model._tapes) == 3  # fused policy in the key
         keys = set(model._tapes)
-        assert {key[0][0] for key in keys} == {2, 5}
+        window = detector.config.window_size
+        assert {key[0] for key in keys} == {(window, 1), (2 * window, 1)}
         assert {key[2] for key in keys} == {True, False}
+
+    def test_hit_key_outlives_fresh_insertions(self):
+        """The cache is an LRU: a key that keeps getting hits is never
+        the one evicted, however many fresh keys arrive."""
+        config = TFMAEConfig(window_size=30, d_model=8, num_layers=1,
+                             num_heads=2, jit_cache_size=2, seed=0)
+        model = TFMAEModel(1, config)
+        rng = np.random.default_rng(3)
+        hot = rng.normal(size=(2, 30, 1))
+        with jit.use_jit(True):
+            model.score_windows(hot)
+            hot_key = next(iter(model._tapes))
+            for length in range(31, 31 + 2 * config.jit_cache_size):
+                model.score_windows(hot)  # hit: most recent again
+                model.score_windows(rng.normal(size=(2, length, 1)))
+                assert hot_key in model._tapes
+        assert model.jit_evictions == 2 * config.jit_cache_size - 1
+
+
+#: Mixed micro-batch sizes: the largest first, then smaller and repeated.
+BATCH_SEQUENCE = (32, 1, 17, 5, 32, 2, 9)
+
+
+def _batch_windows(detector: TFMAE, batch: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    size = detector.config.window_size
+    return np.stack([_sine_series(rng, size) for _ in range(batch)])
+
+
+def _run_threads(*workers) -> None:
+    """Run each worker on its own thread; re-raise the first failure."""
+    errors = []
+
+    def wrap(fn):
+        def run():
+            try:
+                fn()
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+        return run
+
+    threads = [threading.Thread(target=wrap(worker)) for worker in workers]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+class TestBatchPolymorphic:
+    """One tape per window shape replays at every micro-batch size."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("use_fused", [True, False])
+    def test_mixed_batch_sequence_is_bitwise(self, variant, dtype, use_fused):
+        detector = _fitted(variant, dtype)
+        model = detector.model
+        model._tapes.clear()
+        evictions = model.jit_evictions
+        with fused.use_fused(use_fused):
+            for seed, batch in enumerate(BATCH_SEQUENCE):
+                windows = _batch_windows(detector, batch, seed)
+                with jit.use_jit(False):
+                    interpreted = model.score_windows(windows)
+                with jit.use_jit(True):
+                    compiled = model.score_windows(windows)
+                assert np.array_equal(interpreted, compiled), (batch, seed)
+        assert len(model._tapes) == 1
+        assert all(tape is not _UNSUPPORTED for tape in model._tapes.values())
+        assert model.jit_evictions == evictions
+
+    def test_trace_at_batch_one_replays_larger_batches(self):
+        """A size-1 batch axis is the edge where numpy ignores strides;
+        a tape traced there must still replay bitwise at larger B."""
+        detector = _fitted("default", "float32")
+        model = detector.model
+        model._tapes.clear()
+        for seed, batch in enumerate((1, 32, 6)):
+            windows = _batch_windows(detector, batch, seed)
+            with jit.use_jit(False):
+                interpreted = model.score_windows(windows)
+            with jit.use_jit(True):
+                assert np.array_equal(interpreted, model.score_windows(windows))
+        assert len(model._tapes) == 1
+
+    @pytest.mark.parametrize("graph", [
+        pytest.param(lambda x, w: x.sum(axis=0), id="reduces-axis-0"),
+        pytest.param(lambda x, w: x.transpose(1, 0, 2), id="moves-axis-0"),
+        pytest.param(lambda x, w: x.reshape(-1, 3), id="folds-axis-0"),
+        pytest.param(lambda x, w: x[:4], id="slices-axis-0"),
+        pytest.param(lambda x, w: w @ x[:, 0], id="contracts-axis-0"),
+    ])
+    def test_axis_0_ops_fall_back(self, graph):
+        """Ops that do not keep the batch axis row by row soft-fail the
+        trace, even where a dimension happens to equal the batch (4)."""
+        rng = np.random.default_rng(0)
+        slots = {"x": rng.normal(size=(4, 4, 3)), "w": rng.normal(size=(4, 4))}
+        with nn.no_grad():
+            out, tape = jit.trace(
+                lambda: graph(Tensor(slots["x"]), Tensor(slots["w"])),
+                slots, [], batch_slots=("x",),
+            )
+        assert out is not None
+        assert tape is None
+
+    def test_window_length_equal_to_batch_replays(self):
+        """Batch-ness follows data flow, not dimension values: with
+        T == B at trace time the tape still replays at other B."""
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(4, 3))  # (T, features), T == traced B
+
+        def graph(slots):
+            x = Tensor(slots["x"]) + Tensor(slots["table"])
+            return (x.transpose(0, 2, 1) @ x).reshape(x.shape[0], 9)
+
+        def run(batch):
+            slots = {"x": rng.normal(size=(batch, 4, 3)), "table": table}
+            with nn.no_grad():
+                expected = graph(slots).data
+            return slots, expected
+
+        slots, _ = run(4)
+        with nn.no_grad():
+            _, tape = jit.trace(lambda: graph(slots), slots, [], batch_slots=("x",))
+        assert tape is not None
+        for batch in (7, 1, 4):
+            slots, expected = run(batch)
+            assert tape.replays_at(batch)
+            assert np.array_equal(tape.replay(slots), expected)
+
+    def test_reshape_by_a_dimension_equal_to_batch_pins_the_tape(self):
+        """``x.reshape(T, -1)`` with T == B at trace leads with the batch
+        by value only: the tape replays at the traced B alone, and a
+        trace at another B falls back."""
+        rng = np.random.default_rng(0)
+
+        def graph(slots):
+            x = Tensor(slots["x"])
+            return (x * 2.0).reshape(x.shape[1], -1)
+
+        slots = {"x": rng.normal(size=(4, 4, 3))}
+        with nn.no_grad():
+            _, tape = jit.trace(lambda: graph(slots), slots, [], batch_slots=("x",))
+        assert tape is not None
+        assert tape.replays_at(4) and not tape.replays_at(7)
+        slots = {"x": rng.normal(size=(4, 4, 3))}
+        with nn.no_grad():
+            assert np.array_equal(tape.replay(slots), graph(slots).data)
+        slots = {"x": rng.normal(size=(7, 4, 3))}
+        with nn.no_grad():
+            _, tape = jit.trace(lambda: graph(slots), slots, [], batch_slots=("x",))
+        assert tape is None
+
+    def test_pinned_tape_is_retraced_in_place(self):
+        """A batch equal to num_heads pins the model's tape; the next
+        call at another batch size replaces it without an eviction."""
+        detector = _fitted("default", "float64")
+        model = detector.model
+        model._tapes.clear()
+        evictions = model.jit_evictions
+        heads = detector.config.num_heads
+        for seed, batch in enumerate((heads, heads, 5, heads, 11)):
+            windows = _batch_windows(detector, batch, seed)
+            with jit.use_jit(False):
+                interpreted = model.score_windows(windows)
+            with jit.use_jit(True):
+                assert np.array_equal(interpreted, model.score_windows(windows))
+            (tape,) = model._tapes.values()
+            if seed == 0:
+                assert not tape.replays_at(5)
+        assert tape.replays_at(heads) and tape.replays_at(32)
+        assert model.jit_evictions == evictions
+
+    @pytest.mark.parametrize("copies", [False, True], ids=["view", "copy"])
+    def test_reshape_keeps_its_parent_buffer_live(self, copies):
+        """Whether a batch-major reshape views or copies its parent is
+        numpy's call at each B, so the planner keeps the parent's buffer
+        live while the reshape is read either way: a later step of the
+        same pool shape must not reuse it mid-replay."""
+        rng = np.random.default_rng(0)
+
+        def graph(slots):
+            x = Tensor(slots["x"])
+            batch = x.shape[0]
+            a = x * 2.0
+            if copies:  # the reshape below copies
+                b = a.transpose(0, 2, 1)[:, :, :2].reshape(batch, 6)
+            else:
+                b = a[:, :2].reshape(batch, 6)
+            c = x * 3.0
+            return b + c[:, :2].reshape(batch, 6)
+
+        slots = {"x": rng.normal(size=(4, 4, 3))}
+        with nn.no_grad():
+            _, tape = jit.trace(lambda: graph(slots), slots, [], batch_slots=("x",))
+        assert tape is not None
+        assert tape.num_buffers == 3  # x * 3 does not reuse x * 2's buffer
+        for batch in (1, 4):
+            slots = {"x": rng.normal(size=(batch, 4, 3))}
+            with nn.no_grad():
+                assert np.array_equal(tape.replay(slots), graph(slots).data), batch
+
+    def test_trace_needs_a_batch_slot(self):
+        slots = {"x": np.ones((4, 3))}
+        with nn.no_grad():
+            out, tape = jit.trace(lambda: Tensor(slots["x"]) * 2.0, slots, [],
+                                  batch_slots=("windows",))
+        assert np.array_equal(out.data, slots["x"] * 2.0)
+        assert tape is None
+
+    def test_frame_grows_only_for_larger_batches(self):
+        detector = _fitted("default", "float64")
+        model = detector.model
+        model._tapes.clear()
+        with jit.use_jit(True):
+            model.score_windows(_batch_windows(detector, 3, 0))  # trace
+            tape = next(iter(model._tapes.values()))
+            model.score_windows(_batch_windows(detector, 2, 1))
+            assert tape._tls.rows == 2
+            model.score_windows(_batch_windows(detector, 5, 2))
+            assert tape._tls.rows == 5  # grew for the larger batch
+            for seed, batch in enumerate(BATCH_SEQUENCE):
+                model.score_windows(_batch_windows(detector, batch, seed))
+                if batch == max(BATCH_SEQUENCE) and seed == 0:
+                    frame = list(tape._tls.frame)
+            assert tape._tls.rows == max(BATCH_SEQUENCE)
+        assert all(now is then for now, then in zip(tape._tls.frame, frame))
+
+    def test_threads_replay_different_batch_sizes(self):
+        detector = _fitted("default", "float64")
+        model = detector.model
+        batches = {"a": (3, 29), "b": (17, 1)}
+        inputs = {name: [_batch_windows(detector, batch, batch) for batch in sizes]
+                  for name, sizes in batches.items()}
+        with jit.use_jit(False):
+            expected = {name: [model.score_windows(w) for w in windows]
+                        for name, windows in inputs.items()}
+        model._tapes.clear()
+        with jit.use_jit(True):
+            model.score_windows(inputs["a"][0])  # one shared tape
+        results = {name: [] for name in batches}
+
+        def worker(name):
+            with jit.use_jit(True):
+                for _ in range(10):
+                    for windows in inputs[name]:
+                        results[name].append(model.score_windows(windows))
+
+        _run_threads(lambda: worker("a"), lambda: worker("b"))
+        assert len(model._tapes) == 1
+        for name in batches:
+            for index, scores in enumerate(results[name]):
+                want = expected[name][index % len(batches[name])]
+                assert np.array_equal(scores, want), (name, index)
+
+    def test_micro_batcher_bursts_match_score_last(self):
+        from repro.serve import MicroBatcher
+
+        detector = _fitted("default", "float64")
+        windows = _batch_windows(detector, 64, 5)
+        with jit.use_jit(False):
+            expected = [detector.score_last(window[None])[0] for window in windows]
+        rng = np.random.default_rng(0)
+        batcher = MicroBatcher(detector_for=lambda key: detector,
+                               max_batch_size=32, jit=True).start()
+        try:
+            for size in (1, 32, 7, 19, 2, 32, 13, 3):
+                picks = rng.integers(len(windows), size=size)
+                futures = [batcher.submit("m", windows[pick]) for pick in picks]
+                for pick, future in zip(picks, futures):
+                    assert future.result(timeout=30) == expected[pick]
+        finally:
+            batcher.stop()
 
 
 class TestFallback:
@@ -220,24 +504,7 @@ class TestJitThreadLocal:
     """Mirror of tests/nn/test_policy_threading.py for the jit switch."""
 
     def _run_both(self, worker_a, worker_b):
-        errors = []
-
-        def wrap(fn):
-            def run():
-                try:
-                    fn()
-                except BaseException as error:  # pragma: no cover
-                    errors.append(error)
-            return run
-
-        threads = [threading.Thread(target=wrap(worker_a)),
-                   threading.Thread(target=wrap(worker_b))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
+        _run_threads(worker_a, worker_b)
 
     def test_concurrent_flips_do_not_leak(self):
         barrier = threading.Barrier(2)

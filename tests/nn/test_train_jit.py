@@ -203,9 +203,37 @@ class TestGuardsAndCache:
         trainer.fit(series)
         assert trainer.train_step.evictions >= 1
 
+    def test_hit_key_outlives_fresh_insertions(self):
+        """The train-step cache is an LRU, not FIFO: a key that keeps
+        getting hits is never the one evicted."""
+        config = _config(train_jit=True)
+        model = TFMAEModel(2, config)
+        optimizer = Adam(list(model.parameters()), lr=1e-3)
+        step = TrainStep(model, optimizer, cache_size=2)
+        rng = np.random.default_rng(0)
+
+        def train(batch):
+            handle = step.begin(rng.normal(size=(batch, config.window_size, 2)))
+            handle.backward()
+            handle.apply_update()
+
+        train(4)
+        hot_key = next(iter(step._tapes))
+        for batch in range(5, 5 + 2 * step.cache_size):
+            train(4)  # hit: most recent again
+            train(batch)
+            assert hot_key in step._tapes
+        assert step.evictions == 2 * step.cache_size - 1
+
     def test_cache_size_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_CACHE", "3")
         assert TFMAEConfig().jit_cache_size == 3
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-3", ""])
+    def test_bad_cache_size_env_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JIT_CACHE", raw)
+        with pytest.raises(ValueError, match="REPRO_JIT_CACHE"):
+            TFMAEConfig()
 
     def test_cache_size_validated(self):
         with pytest.raises(ValueError, match="jit_cache_size"):
