@@ -1,6 +1,6 @@
 # Convenience targets for the TFMAE reproduction.
 
-.PHONY: install test lint lockcheck check bench bench-tables bench-figures perf jit-bench train-bench robustness chaos serve serve-bench multiproc-bench examples clean
+.PHONY: install test lint lockcheck check bench bench-tables bench-figures perf jit-bench train-bench robustness chaos serve serve-bench multiproc-bench perfbench examples clean
 
 install:
 	python setup.py develop
@@ -80,6 +80,13 @@ serve-bench:
 # the shared-memory single-copy RSS verification (BENCH_multiproc.json).
 multiproc-bench:
 	PYTHONPATH=src python benchmarks/bench_multiproc_serving.py
+
+# The repository benchmark (perfbench/README.md): one workload, one seed,
+# end-to-end metrics.  make perfbench WORKLOAD=burst-score SEED=7
+WORKLOAD ?= http-score
+SEED ?= 1
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 25 --trace 0
 
 examples:
 	for f in examples/*.py; do echo "=== $$f ==="; python $$f; done

@@ -17,11 +17,16 @@ Every row runs twice — interpreted and tape-replay (``jit=`` on the
 batcher) — so the table separates what coalescing buys from what
 trace-compiled scoring buys end to end.
 
+The batcher runs at its default ``max_delay`` of 0: a free worker scores
+whatever is queued at once, and requests that arrive while it scores
+coalesce into the next batch.  One extra row (``max_batch`` 32, JIT on)
+re-runs with ``max_delay`` 2 ms, the old default, on the same closed-loop
+traffic, where a wait for company could buy batch size.
+
 Expected shape: on multi-core runners throughput rises with the
 batch-size budget (vectorized ``score_windows`` amortises Python and
 BLAS dispatch), while p50 latency stays within the same order of
-magnitude — the max-delay flush bounds how long a lone request can be
-held back.  With the JIT on, single-window forwards are cheap enough
+magnitude.  With the JIT on, single-window forwards are cheap enough
 that a single-core runner can favour ``max_batch=1`` outright.
 
 Environment: ``REPRO_BENCH_EPOCHS`` (default 8) for training;
@@ -48,7 +53,8 @@ WINDOW = 100
 BATCH_SIZES = (1, 8, 32)
 CLIENTS = 8
 REQUESTS = int(os.environ.get("REPRO_BENCH_SERVE_REQUESTS", "320"))
-MAX_DELAY = 0.002
+#: Seconds the comparison row's batcher waits for company.
+WAIT_DELAY = 0.002
 WORKERS = 2
 
 
@@ -63,16 +69,17 @@ def _fit_detector() -> tuple[TFMAE, np.ndarray]:
 
 
 def _run_config(
-    detector: TFMAE, test: np.ndarray, max_batch_size: int, use_jit: bool = True
+    detector: TFMAE, test: np.ndarray, max_batch_size: int, use_jit: bool = True,
+    **batcher_options,
 ) -> dict:
     windows = [test[i : i + WINDOW] for i in range(0, REQUESTS)]
     latency = Histogram(capacity=REQUESTS)
     errors: list[BaseException] = []
 
     with MicroBatcher(detector_for=lambda key: detector,
-                      max_batch_size=max_batch_size, max_delay=MAX_DELAY,
+                      max_batch_size=max_batch_size,
                       max_queue=REQUESTS + CLIENTS, workers=WORKERS,
-                      jit=use_jit) as batcher:
+                      jit=use_jit, **batcher_options) as batcher:
 
         def client(offsets: range) -> None:
             for offset in offsets:
@@ -119,27 +126,34 @@ def run_serving_bench() -> tuple[str, dict]:
               f"{'p95 ms':>8} {'p99 ms':>8} {'mean batch':>11}")
     lines = [
         f"Serving throughput ({DATASET} profile, {REQUESTS} requests, "
-        f"{CLIENTS} concurrent clients, {WORKERS} workers, "
-        f"max_delay={MAX_DELAY * 1e3:g}ms)",
+        f"{CLIENTS} concurrent clients, {WORKERS} workers, max_delay=0 "
+        f"unless marked)",
         header,
         "-" * len(header),
     ]
     throughput: dict[int, float] = {}
     jit_gain: dict[str, float] = {}
     results: dict[str, dict] = {}
+
+    def add_row(key: str, row: dict, use_jit: bool, note: str = "") -> None:
+        results[key] = row
+        lines.append(
+            f"{row['batch']:>9d} {'on' if use_jit else 'off':>4} "
+            f"{row['rps']:>8.0f} r/s {row['p50']:>8.2f} "
+            f"{row['p95']:>8.2f} {row['p99']:>8.2f} {row['mean_batch']:>11.1f}{note}"
+        )
+
     for batch_size in BATCH_SIZES:
         rps: dict[bool, float] = {}
         for use_jit in (False, True):
             row = _run_config(detector, test, batch_size, use_jit=use_jit)
             rps[use_jit] = row["rps"]
-            results[f"B{batch_size}/{'jit' if use_jit else 'interp'}"] = row
-            lines.append(
-                f"{row['batch']:>9d} {'on' if use_jit else 'off':>4} "
-                f"{row['rps']:>8.0f} r/s {row['p50']:>8.2f} "
-                f"{row['p95']:>8.2f} {row['p99']:>8.2f} {row['mean_batch']:>11.1f}"
-            )
+            add_row(f"B{batch_size}/{'jit' if use_jit else 'interp'}", row, use_jit)
         throughput[batch_size] = rps[True]
         jit_gain[str(batch_size)] = rps[True] / rps[False]
+    waited = _run_config(detector, test, 32, use_jit=True, max_delay=WAIT_DELAY)
+    add_row("B32/jit/wait", waited, True, f"  max_delay={WAIT_DELAY * 1e3:g}ms")
+    greedy = results["B32/jit"]
     best = max(BATCH_SIZES, key=lambda size: throughput[size])
     lines.append(
         f"micro-batching speedup vs per-request (jit on): "
@@ -149,10 +163,20 @@ def run_serving_bench() -> tuple[str, dict]:
         f"B{batch}: {gain:.2f}x" for batch, gain in jit_gain.items()
     )
     lines.append(f"jit throughput gain vs interpreted scoring: {gains}")
+    greedy_vs_wait = {
+        "rps": greedy["rps"] / waited["rps"],
+        "mean_batch": greedy["mean_batch"] / waited["mean_batch"],
+    }
+    lines.append(
+        f"greedy vs max_delay={WAIT_DELAY * 1e3:g}ms at max_batch=32 (jit on): "
+        f"{greedy_vs_wait['rps']:.2f}x rps, "
+        f"{greedy_vs_wait['mean_batch']:.2f}x mean batch"
+    )
     payload = {
         "results": results,
         "throughput_rps_jit": {str(b): throughput[b] for b in BATCH_SIZES},
         "jit_gain": jit_gain,
+        "greedy_vs_wait": greedy_vs_wait,
     }
     return "\n".join(lines), payload
 

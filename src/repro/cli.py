@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port; 0 binds an ephemeral port")
     serve.add_argument("--max-batch-size", type=int, default=32,
                        help="most windows coalesced into one forward pass")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="longest a request waits for its batch to fill")
+    serve.add_argument("--max-delay-ms", type=float, default=0.0,
+                       help="longest a request waits for company once the "
+                            "worker is free (0: score what is queued)")
     serve.add_argument("--queue-size", type=int, default=256,
                        help="bounded request queue; beyond it requests are "
                             "shed with HTTP 429")

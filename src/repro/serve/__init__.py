@@ -11,7 +11,7 @@ Pieces (each usable standalone):
   versioned, fingerprinted ``.npz`` artifacts (built on
   ``repro.nn.serialization``), with load-on-demand LRU caching.
 * :class:`MicroBatcher` — bounded-queue micro-batching scheduler with a
-  worker-thread pool, max-batch/max-delay flush policy, and explicit
+  worker-thread pool, greedy max-batch flush policy, and explicit
   load-shedding (:class:`Overloaded`).
 * :class:`ProcessPool` — the multi-process scoring tier: supervised
   worker processes sharded past the GIL, one shared-memory weight copy

@@ -12,9 +12,11 @@ Flow::
     submit() ──> bounded FIFO queue ──> worker pool (threads)
                      │                      each worker:
                      │ full? shed load        1. block on first request
-                     ▼ (Overloaded)           2. drain more until
-                                                 max_batch_size or
-                                                 max_delay elapses
+                     ▼ (Overloaded)           2. sweep what else is
+                                                 queued, up to
+                                                 max_batch_size (waiting
+                                                 up to max_delay for more
+                                                 when it is > 0)
                                               3. group by (model, shape)
                                               4. one score_last per group
                                               5. resolve futures
@@ -27,8 +29,10 @@ Guarantees:
 * **Bounded memory** — the queue holds at most ``max_queue`` requests;
   beyond that ``submit`` raises :class:`Overloaded` immediately
   (load-shedding, never unbounded latency).
-* **Bounded latency** — a lone request waits at most ``max_delay``
-  before being scored in a batch of one.
+* **Bounded latency** — a lone request on an idle worker is scored at
+  once, in a batch of one (with a positive ``max_delay`` it waits at
+  most that long for company).  Requests that arrive while a batch is
+  scoring coalesce into the next batch, so batching needs no wait.
 * **Graceful shutdown** — ``stop()`` rejects new work, drains everything
   already accepted, and joins the workers.
 """
@@ -81,8 +85,9 @@ class MicroBatcher:
     max_batch_size:
         Most windows scored in one ``score_last`` call.
     max_delay:
-        Seconds a worker waits for the batch to fill once it holds the
-        first request — the latency price paid for throughput.
+        Seconds a worker waits for company once it holds the first
+        request.  The default 0 scores whatever is queued at once;
+        a positive value trades that much latency for batch size.
     max_queue:
         Bounded queue capacity; beyond it ``submit`` sheds load.
     workers:
@@ -103,7 +108,7 @@ class MicroBatcher:
         self,
         detector_for: Callable[[str], BaseDetector],
         max_batch_size: int = 32,
-        max_delay: float = 0.002,
+        max_delay: float = 0.0,
         max_queue: int = 256,
         workers: int = 1,
         metrics: MetricsRegistry | None = None,

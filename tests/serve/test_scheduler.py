@@ -82,6 +82,29 @@ class TestCoalescing:
         assert max(calls) > 1  # coalescing actually happened
         assert batcher.metrics.histogram("serve_batch_size").summary()["max"] > 1
 
+    def test_greedy_default_coalesces_work_queued_behind_a_batch(
+            self, fitted_tfmae, sine_series):
+        """The default batcher waits for nobody, yet windows that queue
+        while its worker is busy still reach the model as one batch."""
+        entered, release = threading.Event(), threading.Event()
+
+        def detector_for(key):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=30)
+            return fitted_tfmae
+
+        windows = [sine_series[i : i + 50] for i in range(100, 109)]
+        with MicroBatcher(detector_for=detector_for) as batcher:
+            futures = [batcher.submit("m", windows[0])]
+            assert entered.wait(timeout=10)
+            futures += [batcher.submit("m", window) for window in windows[1:]]
+            release.set()
+            got = np.array([future.result(timeout=60) for future in futures])
+        sizes = batcher.metrics.histogram("serve_batch_size").summary()
+        assert (sizes["count"], sizes["min"], sizes["max"]) == (2, 1, 8)
+        assert np.array_equal(fitted_tfmae.score_last(np.stack(windows)), got)
+
     def test_max_batch_size_respected(self, toy_detector, rng):
         with _batcher_for(toy_detector, max_batch_size=4, max_delay=0.05) as batcher:
             futures = [batcher.submit("m", rng.normal(size=(4, 1))) for _ in range(16)]

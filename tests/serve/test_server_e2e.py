@@ -8,9 +8,14 @@ reports non-zero request counts and latency histograms.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import numpy as np
@@ -180,6 +185,44 @@ class TestEndToEnd:
         assert body["models"]["tfmae"] == ["v1", "v2"]
 
 
+class TestWire:
+    def test_keep_alive_round_trips_do_not_stall(self, served, sine_series):
+        """Regression for two idle waits: a response sent in two writes
+        (headers, then body) sat behind Nagle until the client's delayed
+        ACK, ~40 ms per request on a keep-alive connection; and a lone
+        /score waited for company that never came."""
+        server = InferenceServer(served.registry, port=0)
+        body = json.dumps({"model": "tfmae",
+                           "window": sine_series[:50].tolist()})
+        with server:
+            connection = http.client.HTTPConnection(
+                server.url.removeprefix("http://"), timeout=30)
+
+            def round_trip(method: str, path: str, expected: int) -> float:
+                started = time.perf_counter()
+                connection.request(method, path, body=body if method == "POST" else None,
+                                   headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                response.read()
+                assert response.status == expected
+                return time.perf_counter() - started
+
+            try:
+                round_trip("POST", "/score", 200)      # first trace, unmeasured
+                times = {
+                    "healthz": [round_trip("GET", "/healthz", 200) for _ in range(20)],
+                    "score": [round_trip("POST", "/score", 200) for _ in range(20)],
+                    "404": [], "200 after 404": [],
+                }
+                for _ in range(20):
+                    times["404"].append(round_trip("GET", "/nope", 404))
+                    times["200 after 404"].append(round_trip("GET", "/healthz", 200))
+            finally:
+                connection.close()
+        medians = {name: statistics.median(samples) for name, samples in times.items()}
+        assert all(median < 0.010 for median in medians.values()), medians
+
+
 class TestErrorMapping:
     def test_unknown_model_404(self, served, sine_series):
         status, body = _post(served.url, "/score",
@@ -211,6 +254,21 @@ class TestErrorMapping:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "1.5"])
+    def test_malformed_content_length_400(self, served, length):
+        address = urllib.parse.urlsplit(served.url)
+        host = address.hostname
+        with socket.create_connection((host, address.port), timeout=30) as sock:
+            sock.sendall(f"POST /score HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Content-Length: {length}\r\n"
+                         f"Connection: close\r\n\r\n".encode("ascii"))
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"400"
+        assert json.loads(payload)["error"] == "bad_request"
 
     def test_unknown_route_404(self, served):
         status, body = _get(served.url, "/nope")

@@ -31,7 +31,7 @@ class TestParser:
         assert args.registry == "./model-registry"
         assert args.port == 8080
         assert args.max_batch_size == 32
-        assert args.max_delay_ms == 2.0
+        assert args.max_delay_ms == 0.0
         assert args.queue_size == 256
         assert args.procs == 0  # thread tier unless --procs asks for the pool
         assert args.threads is None and args.workers is None  # both default to 2
