@@ -1,6 +1,6 @@
 # Convenience targets for the TFMAE reproduction.
 
-.PHONY: install test lint lockcheck check bench bench-tables bench-figures perf jit-bench train-bench robustness chaos serve serve-bench multiproc-bench perfbench examples clean
+.PHONY: install test lint lockcheck check bench bench-tables bench-figures perf jit-bench robustness chaos serve serve-bench multiproc-bench perfbench examples clean
 
 install:
 	python setup.py develop
@@ -50,12 +50,6 @@ perf:
 jit-bench:
 	PYTHONPATH=src pytest tests/nn/test_jit.py -q
 	PYTHONPATH=src python benchmarks/bench_jit_scoring.py
-
-# Trace-compiled training: compiled vs interpreted fit, bitwise-asserted
-# loss curve and state_dict (see docs/performance.md, bench_train_jit.py).
-train-bench:
-	PYTHONPATH=src pytest tests/nn/test_train_jit.py -q
-	PYTHONPATH=src python benchmarks/bench_train_jit.py
 
 robustness:
 	PYTHONPATH=src pytest tests/core/test_fault_tolerance.py \

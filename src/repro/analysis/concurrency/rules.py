@@ -18,8 +18,8 @@
 
 ``TLS001`` — thread-local policy discipline
     The ``set_*``/``use_*`` policy trios (``nn/fused``, ``nn/jit``,
-    ``nn/jit_train``, ``nn/dtype``) pair a process-wide default with a
-    thread-local, context-manager override.  Three misuses are flagged:
+    ``nn/dtype``) pair a process-wide default with a thread-local,
+    context-manager override.  Three misuses are flagged:
     a bare ``use_*(...)`` expression that builds the context manager and
     never enters it (silently a no-op), ``with set_*(...)`` (the setter
     is not a context manager; the ``with`` raises at runtime or, worse,

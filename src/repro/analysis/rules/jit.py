@@ -9,14 +9,12 @@ exactly the per-op overhead the tape exists to remove, and (worse) can
 silently route replay back through the graph where a hook might observe
 phantom ops.
 
-Scope: ``nn/jit.py`` and ``nn/jit_train.py``.  Tracing itself never
-needs to *build* tensors — it observes a forward the caller already ran;
-resolution works on ``.data`` buffers by identity.  The train-step tape
-additionally replays backward and the optimizer update, which likewise
-must stay on raw buffers.  If a future change genuinely needs a Tensor
-inside either jit module (e.g. a fallback that re-enters the interpreted
-path by calling back into model code), construct it at the call site
-outside the jit modules or suppress with a justification.
+Scope: ``nn/jit.py``.  Tracing itself never needs to *build* tensors —
+it observes a forward the caller already ran; resolution works on
+``.data`` buffers by identity.  If a future change genuinely needs a
+Tensor inside the jit module (e.g. a fallback that re-enters the
+interpreted path by calling back into model code), construct it at the
+call site outside the module or suppress with a justification.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ class JitTensorRule(Rule):
 
     def applies_to(self, path: str) -> bool:
         normalized = path.replace("\\", "/")
-        return normalized.endswith(("nn/jit.py", "nn/jit_train.py"))
+        return normalized.endswith("nn/jit.py")
 
     def check(self, tree: ast.Module, path: str):
         for node in ast.walk(tree):

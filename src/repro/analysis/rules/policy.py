@@ -1,10 +1,10 @@
 """TLS001: the ``set_*``/``use_*`` thread-local policy discipline.
 
 The policy trios (``nn/fused``: ``set_fused``/``use_fused``, ``nn/jit``:
-``set_jit``/``use_jit``, ``nn/jit_train``: ``set_train_jit``/
-``use_train_jit``, ``nn/dtype``: ``set_default_dtype``/
-``default_dtype``) pair a process-wide default with a thread-local,
-context-manager-scoped override.  Three misuses are flagged: a bare
+``set_jit``/``use_jit``, ``nn/dtype``: ``set_default_dtype``/
+``default_dtype``; each a ``repro.nn.policy.Switch``) pair a
+process-wide default with a thread-local, context-manager-scoped
+override.  Three misuses are flagged: a bare
 ``use_*(...)`` expression that builds the context manager and never
 enters it (silently a no-op), ``with set_*(...)`` (the setter is not a
 context manager), and ``set_*`` calls inside the serving stack, where a
@@ -26,9 +26,8 @@ TLS_CODE = "TLS001"
 
 
 #: context managers that must be entered / setters that must not be.
-_USE_NAMES = frozenset({"use_fused", "use_jit", "use_train_jit", "default_dtype"})
-_SET_NAMES = frozenset({"set_fused", "set_jit", "set_train_jit",
-                        "set_default_dtype"})
+_USE_NAMES = frozenset({"use_fused", "use_jit", "default_dtype"})
+_SET_NAMES = frozenset({"set_fused", "set_jit", "set_default_dtype"})
 #: path fragments of the serving stack, where process-global policy
 #: flips race concurrent request threads.
 _SERVING_FRAGMENTS = ("/serve/", "streaming.py", "/robustness/")

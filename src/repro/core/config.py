@@ -59,19 +59,12 @@ class TFMAEConfig:
     # Scores are always returned as float64 regardless.
     compute_dtype: str = "float64"
 
-    # --- trace-compiled execution (see docs/performance.md) ---
-    # Train-step tape JIT: compile loss -> backward -> optimizer update
-    # into one generated function per (batch shape, dtype, fused policy).
-    # Bitwise-identical trajectory to the interpreted loop; falls back
-    # softly on untraceable steps.  The process-wide
-    # repro.nn.jit_train.set_train_jit toggle gates it as well.
-    train_jit: bool = True
-    # LRU capacity in cached tapes, per model (scoring) and per trainer
-    # (train step); the REPRO_JIT_CACHE env var overrides the default of
-    # 8.  Scoring tapes are keyed per window shape and replay at every
-    # batch size, so a serving model needs one entry per window shape,
-    # dtype and fused policy.  Evictions are counted on the model and
-    # train-step objects for the benches.
+    # --- trace-compiled scoring (see docs/performance.md) ---
+    # Scoring-tape LRU capacity, per model; the REPRO_JIT_CACHE env var
+    # overrides the default of 8.  Tapes are keyed per window shape and
+    # replay at every batch size, so a serving model needs one entry per
+    # window shape, dtype and fused policy.  Evictions are counted on
+    # the model for the benches.
     jit_cache_size: int = field(default_factory=_default_jit_cache)
 
     # --- masking ---

@@ -327,45 +327,18 @@ class TFMAEModel(Module):
         Dual-branch mode uses the adversarial contrastive objective; the
         single-branch ablations use reconstruction MSE.
         """
+        self._validate_windows(windows)
         with nn.default_dtype(self.compute_dtype):
-            slots = self._loss_prelude(windows)
-            loss, metric_tensors = self._loss_graph(slots)
+            slots = self._prelude(windows)
+            p, f = self._branches(slots)
+            if self._dual:
+                loss, metric_tensors = self._contrastive_loss(p, f)
+            else:
+                reconstruction = self.reconstruction_head(p if p is not None else f)
+                loss = F.mse_loss(reconstruction, Tensor(slots["windows"]))
+                metric_tensors = {"reconstruction_mse": loss}
             metrics = {name: value.item() for name, value in metric_tensors.items()}
         return loss, metrics
-
-    # -- trace-compiled training (see repro.nn.jit_train) ---------------
-    def _loss_prelude(self, windows: np.ndarray) -> dict:
-        """Interpreted per-call stage of the training loss.
-
-        Same contract as :meth:`_score_prelude`: consumes the maskers'
-        RNG and produces the named input slots the pure-tensor
-        :meth:`_loss_graph` stage reads, so the train-step tape can keep
-        them dynamic across replays.
-        """
-        self._validate_windows(windows)
-        slots = {"windows": _as_array(windows)}
-        if self.temporal is not None:
-            slots.update(self.temporal.prelude(windows))
-        if self.frequency is not None:
-            slots.update(self.frequency.prelude(windows))
-        return slots
-
-    def _loss_graph(self, slots: dict) -> tuple[Tensor, dict[str, Tensor]]:
-        """Pure-tensor loss graph over prelude slots (jit-traceable).
-
-        Returns the loss tensor plus the *tensor-valued* logging metrics;
-        :meth:`loss` converts them to floats, and the train-step tape
-        returns their compiled buffers so the trainer's loss trace is
-        identical on both paths.
-        """
-        p = self.temporal.graph(slots) if self.temporal is not None else None
-        f = self.frequency.graph(slots) if self.frequency is not None else None
-        if self._dual:
-            return self._contrastive_loss(p, f)
-        representation = p if p is not None else f
-        reconstruction = self.reconstruction_head(representation)
-        loss = F.mse_loss(reconstruction, Tensor(slots["windows"]))
-        return loss, {"reconstruction_mse": loss}
 
     def _contrastive_loss(self, p: Tensor, f: Tensor) -> tuple[Tensor, dict[str, Tensor]]:
         config = self.config
@@ -408,11 +381,11 @@ class TFMAEModel(Module):
             return self._jit_score(windows)
         self._validate_windows(windows)
         with nn.no_grad(), nn.default_dtype(self.compute_dtype):
-            score = self._score_graph(self._score_prelude(windows))
+            score = self._score_graph(self._prelude(windows))
             return self._score_post(score.data, interpreted=True)
 
     # -- trace-compiled scoring (see repro.nn.jit) ----------------------
-    def _score_prelude(self, windows: np.ndarray) -> dict:
+    def _prelude(self, windows: np.ndarray) -> dict:
         """Interpreted per-call stage: maskers, PE, index slots."""
         slots = {"windows": _as_array(windows)}
         if self.temporal is not None:
@@ -421,10 +394,15 @@ class TFMAEModel(Module):
             slots.update(self.frequency.prelude(windows))
         return slots
 
-    def _score_graph(self, slots: dict) -> Tensor:
-        """Pure-tensor scoring graph over prelude slots (jit-traceable)."""
+    def _branches(self, slots: dict) -> tuple[Tensor | None, Tensor | None]:
+        """Both branch representations over prelude slots (None if ablated)."""
         p = self.temporal.graph(slots) if self.temporal is not None else None
         f = self.frequency.graph(slots) if self.frequency is not None else None
+        return p, f
+
+    def _score_graph(self, slots: dict) -> Tensor:
+        """Pure-tensor scoring graph over prelude slots (jit-traceable)."""
+        p, f = self._branches(slots)
         if self._dual:
             return F.symmetric_kl(p, f, reduce=False)
         representation = p if p is not None else f
@@ -458,7 +436,7 @@ class TFMAEModel(Module):
         self._validate_windows(windows)
         key = (windows.shape[1:], self.compute_dtype, fused.fused_enabled())
         with nn.no_grad(), nn.default_dtype(self.compute_dtype):
-            slots = self._score_prelude(windows)
+            slots = self._prelude(windows)
             tape = self._tapes.get(key)
             if tape is _UNSUPPORTED:
                 self._touch_tape(key)

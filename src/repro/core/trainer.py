@@ -29,7 +29,6 @@ from ..analysis.anomaly import AnomalyError, detect_anomaly
 from ..analysis.shapecheck import preflight_model
 from ..datasets.windows import non_overlapping_windows
 from ..metrics.ranking import roc_auc
-from ..nn.jit_train import TrainStep
 from ..nn.optim import Adam
 from ..robustness.checkpoint import CheckpointManager, config_fingerprint
 from ..robustness.guards import DivergenceGuard, TrainingDivergedError
@@ -52,9 +51,6 @@ _RESUMABLE_FIELDS = (
     "check_gradients",
     "preflight",
     "detect_anomaly",
-    # Execution strategy only: the compiled train step is bitwise-identical
-    # to the interpreted loop, so flipping it never forks a trajectory.
-    "train_jit",
     "jit_cache_size",
 )
 
@@ -142,15 +138,6 @@ class TFMAETrainer:
             model.parameters(),
             lr=self.config.learning_rate,
             grad_clip=self.config.grad_clip,
-        )
-        # Trace-compiled train step (see repro.nn.jit_train): default-on,
-        # bitwise-identical to the interpreted loop, soft-falls-back per
-        # batch-shape key when the graph is untraceable.
-        self.train_step = TrainStep(
-            model,
-            self.optimizer,
-            enabled=self.config.train_jit,
-            cache_size=self.config.jit_cache_size,
         )
         self.log = TrainingLog()
 
@@ -290,20 +277,16 @@ class TFMAETrainer:
                 try:
                     sanitizer = detect_anomaly() if config.detect_anomaly else nullcontext()
                     with sanitizer:
-                        # begin() dispatches to the compiled tape when one
-                        # matches this batch; under detect_anomaly the
-                        # active hook forces the interpreted path so op
-                        # attribution stays exact.
-                        handle = self.train_step.begin(batch)
-                        loss_value = handle.loss_value
-                        metrics = handle.metrics
+                        loss, metrics = self.model.loss(batch)
+                        loss_value = loss.item()
                         # The adversarial objective's value is 0 by construction
                         # (min minus max of the same quantity), so log the
                         # minimisation component — the meaningful convergence trace.
                         tracked = metrics.get("minimise", loss_value)
                         report = guard.check_batch_loss(loss_value) or guard.check_batch_loss(tracked)
                         if report is None:
-                            handle.backward()
+                            self.optimizer.zero_grad()
+                            loss.backward()
                             report = guard.check_batch_gradients(self.optimizer.parameters)
                 except AnomalyError as anomaly:
                     # The sanitizer pinpointed the op that produced the first
@@ -312,7 +295,7 @@ class TFMAETrainer:
                     report = guard.report_anomaly(anomaly)
                 if report is not None:
                     break
-                handle.apply_update()
+                self.optimizer.step()
                 epoch_losses.append(tracked)
                 self.log.losses.append(tracked)
                 self.log.metrics.append(metrics)

@@ -6,12 +6,11 @@ layers, recurrent/convolutional layers for the baselines, and the Adam
 optimiser the paper trains with.
 """
 
-from . import functional, fused, jit, jit_train
+from . import functional, fused, jit
 from .attention import MultiHeadSelfAttention
 from .dtype import default_dtype, get_default_dtype, set_default_dtype
 from .gradcheck import GradcheckError, gradcheck
 from .jit import jit_enabled, set_jit, use_jit
-from .jit_train import set_train_jit, train_jit_enabled, use_train_jit
 from .layers import (
     GELU,
     GRU,
@@ -51,10 +50,6 @@ __all__ = [
     "jit_enabled",
     "set_jit",
     "use_jit",
-    "jit_train",
-    "train_jit_enabled",
-    "set_train_jit",
-    "use_train_jit",
     "gradcheck",
     "GradcheckError",
     "default_dtype",

@@ -7,12 +7,12 @@ halves the memory traffic of every kernel and roughly doubles BLAS
 throughput on the attention matmuls, while anomaly *ranking* (the only
 thing thresholds consume) is insensitive at these scales.
 
-This module provides the switch:
+This module provides the switch (a :class:`repro.nn.policy.Switch`):
 
 * :func:`set_default_dtype` / :func:`get_default_dtype` — the process
   default used whenever a :class:`~repro.nn.tensor.Tensor` is built from
   non-array data (or from an array of a different float dtype).
-* :class:`default_dtype` — a context manager that overrides the default
+* :func:`default_dtype` — a context manager that overrides the default
   on the *current thread only*.  Models with a per-model
   ``compute_dtype`` (:class:`repro.core.TFMAEConfig`) wrap their forward
   passes in it, so a float32 model serving traffic never disturbs a
@@ -23,16 +23,13 @@ The default stays float64, so nothing changes unless a caller opts in.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
+
+from .policy import Switch
 
 __all__ = ["get_default_dtype", "set_default_dtype", "default_dtype", "resolve_dtype"]
 
 _SUPPORTED = (np.dtype(np.float32), np.dtype(np.float64))
-
-_global_default = np.dtype(np.float64)
-_local = threading.local()
 
 
 def _validate(dtype) -> np.dtype:
@@ -44,18 +41,15 @@ def _validate(dtype) -> np.dtype:
     return resolved
 
 
-def get_default_dtype() -> np.dtype:
-    """Current default floating dtype (thread-local override wins)."""
-    override = getattr(_local, "stack", None)
-    if override:
-        return override[-1]
-    return _global_default
+_DTYPE = Switch(np.float64, _validate)
 
-
-def set_default_dtype(dtype) -> None:
-    """Set the process-wide default floating dtype (float32 or float64)."""
-    global _global_default
-    _global_default = _validate(dtype)
+#: Current default floating dtype (thread-local override wins).
+get_default_dtype = _DTYPE.get
+#: Set the process-wide default floating dtype (float32 or float64).
+set_default_dtype = _DTYPE.set
+#: Thread-local dtype override, usable as a context manager:
+#: ``with default_dtype(np.float32): Tensor([1.0, 2.0])`` is float32.
+default_dtype = _DTYPE.override
 
 
 def resolve_dtype(dtype=None) -> np.dtype:
@@ -63,24 +57,3 @@ def resolve_dtype(dtype=None) -> np.dtype:
     if dtype is None:
         return get_default_dtype()
     return _validate(dtype)
-
-
-class default_dtype:
-    """Thread-local dtype override, usable as a context manager.
-
-    >>> with default_dtype(np.float32):
-    ...     x = Tensor([1.0, 2.0])   # float32
-    """
-
-    def __init__(self, dtype):
-        self.dtype = _validate(dtype)
-
-    def __enter__(self) -> "default_dtype":
-        stack = getattr(_local, "stack", None)
-        if stack is None:
-            stack = _local.stack = []
-        stack.append(self.dtype)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _local.stack.pop()

@@ -32,10 +32,11 @@ dispatch on it.
 
 Threading contract
 ------------------
-The switch mirrors :mod:`repro.nn.dtype` exactly:
+The switch is a :class:`repro.nn.policy.Switch`, like
+:mod:`repro.nn.dtype`'s:
 
 * :func:`set_fused` sets the **process-wide default** (True at import).
-* :class:`use_fused` is a **thread-local override**: it scopes the toggle
+* :func:`use_fused` is a **thread-local override**: it scopes the toggle
   to the current thread only, so a test or benchmark flipping to the
   reference path can never make the serve scheduler's worker pool — or a
   training thread — silently take the slow (or fast) path mid-run.
@@ -44,10 +45,9 @@ The switch mirrors :mod:`repro.nn.dtype` exactly:
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
+from .policy import Switch
 from .tensor import Tensor, _unbroadcast
 
 __all__ = [
@@ -71,53 +71,14 @@ __all__ = [
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 _GELU_COEFF = 0.044715
 
-_global_enabled = True
-_local = threading.local()
+_FUSED = Switch(True, bool)
 
-
-def fused_enabled() -> bool:
-    """Whether the fused kernels are active on this thread (default True).
-
-    A thread-local :class:`use_fused` override wins over the
-    :func:`set_fused` process default.
-    """
-    stack = getattr(_local, "stack", None)
-    if stack:
-        return stack[-1]
-    return _global_enabled
-
-
-def set_fused(enabled: bool) -> None:
-    """Set the process-wide default for the fused kernels.
-
-    Threads currently inside a :class:`use_fused` block keep their own
-    override; everyone else observes the new default immediately.
-    """
-    global _global_enabled
-    _global_enabled = bool(enabled)
-
-
-class use_fused:
-    """Thread-local fused-kernel override, usable as a context manager.
-
-    Scoped to the current thread only (mirroring
-    :class:`repro.nn.dtype.default_dtype`), so equivalence tests and
-    benches flipping to the reference path never disturb concurrent
-    serving or training threads.
-    """
-
-    def __init__(self, enabled: bool):
-        self.enabled = bool(enabled)
-
-    def __enter__(self) -> "use_fused":
-        stack = getattr(_local, "stack", None)
-        if stack is None:
-            stack = _local.stack = []
-        stack.append(self.enabled)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _local.stack.pop()
+#: Whether the fused kernels are active on this thread (default True).
+fused_enabled = _FUSED.get
+#: Set the process-wide default for the fused kernels.
+set_fused = _FUSED.set
+#: Thread-local fused-kernel override, usable as a context manager.
+use_fused = _FUSED.override
 
 
 # ----------------------------------------------------------------------

@@ -71,9 +71,9 @@ Known replay differences (documented, not observable through scores):
 op hooks do not see replayed kernels, and attention's
 ``last_attention`` diagnostic is not refreshed during replay.
 
-The :func:`use_jit` / :func:`set_jit` / :func:`jit_enabled` switch trio
-mirrors :mod:`repro.nn.fused` exactly: a process-wide default plus a
-nestable thread-local override.
+The :func:`use_jit` / :func:`set_jit` / :func:`jit_enabled` trio is a
+:class:`repro.nn.policy.Switch`: a process-wide default plus a nestable
+thread-local override.
 
 This module never constructs tensors — it only observes them through
 the hook.  Lint rule JIT001 (:mod:`repro.analysis`) enforces this.
@@ -87,6 +87,7 @@ import threading
 import numpy as np
 
 from .fused import _GELU_COEFF, _SQRT_2_OVER_PI
+from .policy import Switch
 from .tensor import op_hook
 
 __all__ = [
@@ -103,52 +104,14 @@ __all__ = [
 #: default arguments.
 _NP_CALL = re.compile(r"np\.(\w+(?:\.(?:at|reduce))?)\(")
 
-_global_enabled = True
-_local = threading.local()
+_JIT = Switch(True, bool)
 
-
-def jit_enabled() -> bool:
-    """Whether tape-replay scoring is active on this thread (default True).
-
-    A thread-local :class:`use_jit` override wins over the
-    :func:`set_jit` process default.
-    """
-    stack = getattr(_local, "stack", None)
-    if stack:
-        return stack[-1]
-    return _global_enabled
-
-
-def set_jit(enabled: bool) -> None:
-    """Set the process-wide default for tape-replay scoring.
-
-    Threads currently inside a :class:`use_jit` block keep their own
-    override; everyone else observes the new default immediately.
-    """
-    global _global_enabled
-    _global_enabled = bool(enabled)
-
-
-class use_jit:
-    """Thread-local tape-replay override, usable as a context manager.
-
-    Scoped to the current thread only (mirroring
-    :class:`repro.nn.fused.use_fused`), so a test or benchmark pinning
-    the interpreted path never disturbs concurrent serving threads.
-    """
-
-    def __init__(self, enabled: bool):
-        self.enabled = bool(enabled)
-
-    def __enter__(self) -> "use_jit":
-        stack = getattr(_local, "stack", None)
-        if stack is None:
-            stack = _local.stack = []
-        stack.append(self.enabled)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _local.stack.pop()
+#: Whether tape-replay scoring is active on this thread (default True).
+jit_enabled = _JIT.get
+#: Set the process-wide default for tape-replay scoring.
+set_jit = _JIT.set
+#: Thread-local tape-replay override, usable as a context manager.
+use_jit = _JIT.override
 
 
 class TraceUnsupported(RuntimeError):
@@ -182,7 +145,7 @@ class _TapeBuilder:
     RNG consumed by the caller's prelude is consumed exactly once).
     """
 
-    def __init__(self, slots: dict, params, batch_slots=()) -> None:
+    def __init__(self, slots: dict, params, batch_slots) -> None:
         self.slot_arrays = {
             name: value
             for name, value in slots.items()
@@ -519,7 +482,7 @@ class _Codegen:
     literals lead with the replay's ``B`` instead of the traced size.
     """
 
-    def __init__(self, batch_steps=frozenset()):
+    def __init__(self, batch_steps):
         self.batch_steps = batch_steps
         self.lines: list[str] = []
         self.consts: list = []

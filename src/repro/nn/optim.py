@@ -150,8 +150,8 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             # In-place update (bitwise-identical values to the historical
-            # rebinding form): scoring and train-step tapes guard on
-            # ``param.data`` identity, which must survive every step.
+            # rebinding form): scoring tapes guard on ``param.data``
+            # identity, which must survive every step.
             np.subtract(param.data, self.lr * m_hat / (np.sqrt(v_hat) + self.eps),
                         out=param.data)
 

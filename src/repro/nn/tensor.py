@@ -278,9 +278,8 @@ class Tensor:
             # order="C" matters for bitwise reproducibility: np.array's
             # default order="K" preserves the layout of strided views
             # (e.g. transpose backward), and downstream reductions sum in
-            # a layout-dependent pairwise order.  The compiled train step
-            # (repro.nn.jit_train) holds every gradient in a C-contiguous
-            # pool buffer, so the interpreted path must match.
+            # a layout-dependent pairwise order, so sums over a gradient
+            # would depend on the layout of its first contribution.
             self.grad = np.array(grad, dtype=self.data.dtype, copy=True, order="C")
         else:
             np.add(self.grad, grad, out=self.grad)

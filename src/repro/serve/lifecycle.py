@@ -271,8 +271,7 @@ class RefreshReport:
     shadow: ShadowReport | None = None
     version: str | None = None
     #: Wall-clock seconds the candidate refit took (None when the drift
-    #: gate stopped the attempt before training).  The compiled train
-    #: step (repro.nn.jit_train) drives this number; the lifecycle bench
+    #: gate stopped the attempt before training).  The lifecycle bench
     #: tracks it across refreshes.
     refit_seconds: float | None = None
 

@@ -178,7 +178,11 @@ def _tfmae_build(hyperparams: dict) -> tuple[BaseDetector, Module]:
     from ..core import TFMAE, TFMAEConfig
     from ..core.model import TFMAEModel
 
-    config = TFMAEConfig(**hyperparams["config"])
+    stored = dict(hyperparams["config"])
+    # Artifacts published while training had a compiled-step toggle
+    # store that retired field; it never affected the weights.
+    stored.pop("train_jit", None)
+    config = TFMAEConfig(**stored)
     detector = TFMAE(config)
     detector.model = TFMAEModel(n_features=int(hyperparams["n_features"]), config=config)
     detector._fitted = True

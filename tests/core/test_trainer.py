@@ -80,6 +80,21 @@ class TestTrainer:
             logs.append(TFMAETrainer(model).fit(series, shuffle=False).losses)
         np.testing.assert_allclose(logs[0], logs[1])
 
+    def test_overridden_loss_is_respected(self, rng):
+        """An instance-level ``model.loss`` replaces the objective: the
+        trainer calls it once per logged batch."""
+        model = TFMAEModel(1, _config(preflight=False))
+        calls = {"n": 0}
+        original = model.loss
+
+        def counting_loss(batch):
+            calls["n"] += 1
+            return original(batch)
+
+        model.loss = counting_loss
+        log = TFMAETrainer(model).fit(rng.normal(size=(200, 1)))
+        assert calls["n"] == len(log.losses) == 6
+
 
 class TestSyntheticProbe:
     def test_probe_labels_mark_corruptions(self, rng):

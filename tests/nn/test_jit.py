@@ -216,6 +216,20 @@ class TestTapeCache:
                 assert hot_key in model._tapes
         assert model.jit_evictions == 2 * config.jit_cache_size - 1
 
+    def test_cache_size_env_override(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JIT_CACHE", "3")
+        assert TFMAEConfig().jit_cache_size == 3
+
+    @pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-3", ""])
+    def test_bad_cache_size_env_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_JIT_CACHE", raw)
+        with pytest.raises(ValueError, match="REPRO_JIT_CACHE"):
+            TFMAEConfig()
+
+    def test_cache_size_validated(self):
+        with pytest.raises(ValueError, match="jit_cache_size"):
+            TFMAEConfig(jit_cache_size=0)
+
 
 #: Mixed micro-batch sizes: the largest first, then smaller and repeated.
 BATCH_SEQUENCE = (32, 1, 17, 5, 32, 2, 9)

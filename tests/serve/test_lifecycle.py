@@ -240,43 +240,6 @@ class TestRefresh:
         assert np.all(np.isfinite(refreshed.score_last(_probe_windows(sine_series))))
         assert report.refit_seconds is not None and report.refit_seconds >= 0.0
 
-    def test_refresh_end_to_end_with_train_jit(
-        self, tmp_path, fitted_tfmae, sine_series
-    ):
-        """The drift-refresh loop trains its candidate through the
-        compiled train step (repro.nn.jit_train) and publishes normally;
-        refit wall-clock is reported on the refresh report."""
-        from repro.core.trainer import TFMAETrainer
-
-        registry = ModelRegistry(tmp_path)
-        registry.publish("tfmae", fitted_tfmae)
-        counters = {}
-
-        def refit(candidate, recent, validation) -> None:
-            # Mirrors TFMAE.refit, but keeps the trainer visible so the
-            # test can assert the compiled path actually ran.
-            config = candidate.config.with_overrides(epochs=2, train_jit=True)
-            trainer = TFMAETrainer(candidate.model, config)
-            counters["step"] = trainer.train_step
-            candidate.training_log = trainer.fit(recent, validation=validation)
-            candidate.calibrate_threshold(validation)
-
-        manager = LifecycleManager(
-            registry, "tfmae", refit=refit,
-            shadow_max_ks=0.5, shadow_min_agreement=0.8,
-        )
-        report = manager.refresh(sine_series[:300], validation=sine_series[300:400],
-                                 force=True)
-        assert report.refreshed
-        assert registry.live_version("tfmae") == "v2"
-        step = counters["step"]
-        assert step.traces >= 1
-        assert step.replays >= 1
-        assert step.fallbacks == 0
-        assert report.refit_seconds is not None and report.refit_seconds > 0.0
-        refreshed, _ = registry.load("tfmae")
-        assert np.all(np.isfinite(refreshed.score_last(_probe_windows(sine_series))))
-
 
 # ----------------------------------------------------------------------
 # swap safety: in-flight scoring never mixes weights

@@ -7,6 +7,7 @@ import pytest
 
 from repro.nn.serialization import load_metadata, save_training_state
 from repro.serve import ModelNotFound, ModelRegistry, RegistryError
+from repro.serve import registry as registry_module
 
 
 class TestPublish:
@@ -76,6 +77,44 @@ class TestLoadRoundTrip:
         loaded, _ = registry.load("tfmae")
         windows = np.stack([sine_series[i : i + 50] for i in range(0, 100, 10)])
         assert np.array_equal(loaded.score_last(windows), fitted_tfmae.score_last(windows))
+
+    def _publish_with_extra_config(self, monkeypatch, tmp_path, detector, extra):
+        """Publish ``detector`` with ``extra`` keys in its stored config,
+        as an artifact written by another release would carry them."""
+        codec = registry_module._CODECS["TFMAE"]
+
+        def export(det):
+            module, hyperparams = codec.export(det)
+            hyperparams["config"].update(extra)
+            return module, hyperparams
+
+        monkeypatch.setitem(registry_module._CODECS, "TFMAE",
+                            codec._replace(export=export))
+        ModelRegistry(tmp_path).publish("tfmae", detector)
+        monkeypatch.setitem(registry_module._CODECS, "TFMAE", codec)
+        return ModelRegistry(tmp_path)
+
+    def test_artifact_with_retired_config_field_still_loads(
+        self, monkeypatch, tmp_path, fitted_tfmae, sine_series
+    ):
+        """Artifacts published while the config had a ``train_jit`` field
+        keep loading and score bitwise like their source detector."""
+        registry = self._publish_with_extra_config(
+            monkeypatch, tmp_path, fitted_tfmae, {"train_jit": True})
+        stored = load_metadata(tmp_path / "tfmae" / "v1.npz")
+        assert stored["hyperparams"]["config"]["train_jit"] is True
+        loaded, _ = registry.load("tfmae")
+        assert loaded.config == fitted_tfmae.config
+        test = sine_series[450:]
+        assert np.array_equal(loaded.score(test), fitted_tfmae.score(test))
+
+    def test_artifact_with_unknown_config_field_is_rejected(
+        self, monkeypatch, tmp_path, fitted_tfmae
+    ):
+        registry = self._publish_with_extra_config(
+            monkeypatch, tmp_path, fitted_tfmae, {"no_such_field": 1})
+        with pytest.raises(RegistryError, match="no_such_field"):
+            registry.load("tfmae")
 
     def test_load_is_cached(self, tmp_path, fitted_tfmae):
         registry = ModelRegistry(tmp_path)
