@@ -63,8 +63,10 @@ class TFMAEConfig:
     # Scoring-tape LRU capacity, per model; the REPRO_JIT_CACHE env var
     # overrides the default of 8.  Tapes are keyed per window shape and
     # replay at every batch size, so a serving model needs one entry per
-    # window shape, dtype and fused policy.  Evictions are counted on
-    # the model for the benches.
+    # window shape, dtype and fused policy.  The tapes themselves are
+    # shared by every model of the same config; each model's LRU holds
+    # the ones it uses alive.  Evictions are counted on the model for
+    # the benches.
     jit_cache_size: int = field(default_factory=_default_jit_cache)
 
     # --- masking ---

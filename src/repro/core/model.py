@@ -20,11 +20,13 @@ which keeps the "w/o Fre"/"w/o Tem" rows of Table IV trainable.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from collections import OrderedDict
 
 import numpy as np
 
 from .. import nn
+from ..analysis.lockcheck import named_lock
 from ..masking import FrequencyMasker, TemporalMasker
 from ..nn import Module, Parameter, Tensor
 from ..nn import functional as F
@@ -39,6 +41,14 @@ __all__ = ["TemporalBranch", "FrequencyBranch", "TFMAEModel"]
 #: Negative-cache marker: this specialization key hit a trace-unsupported
 #: op; keep using the interpreted path without re-tracing every call.
 _UNSUPPORTED = object()
+
+#: Compiled scoring tapes interned process-wide, keyed ``(config,
+#: n_features, (time, features), compute dtype, fused policy)``.  A tape
+#: reads the weights from input slots, so every instance with the same
+#: key replays the same tape over its own parameters.  Weak values: an
+#: entry lives as long as some instance's LRU holds its tape.
+_SHARED_TAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_SHARED_TAPES_LOCK = named_lock("core.model.shared-tapes")
 
 
 class TemporalBranch(Module):
@@ -269,11 +279,13 @@ class TFMAEModel(Module):
         else:
             self.frequency = None
 
-        # Compiled scoring tapes keyed ((time, features), compute dtype,
-        # fused policy): the batch size is not in the key, since a tape
-        # replays at every batch size (one a reshape pinned to its
-        # traced size is retraced in place at another).  _UNSUPPORTED
-        # negative-caches untraceable keys.  An LRU of
+        # This instance's scoring tapes keyed ((time, features), compute
+        # dtype, fused policy): the batch size is not in the key, since a
+        # tape replays at every batch size (one a reshape pinned to its
+        # traced size is retraced in place at another).  The tapes
+        # themselves are interned in _SHARED_TAPES and shared with every
+        # instance of the same config; this LRU holds them alive.
+        # _UNSUPPORTED negative-caches untraceable keys.  An LRU of
         # config.jit_cache_size entries (REPRO_JIT_CACHE env overrides the
         # default); evictions are counted for the benches.
         self._tapes: OrderedDict = OrderedDict()
@@ -295,6 +307,11 @@ class TFMAEModel(Module):
         # once when the model opts into reduced precision.
         if self.compute_dtype != np.float64:
             self.to_dtype(self.compute_dtype)
+        # Every parameter enters the scoring tape as an input slot, its
+        # array read afresh on each call.
+        self._param_slots = tuple(
+            (f"param:{name}", param) for name, param in self.named_parameters()
+        )
 
     # ------------------------------------------------------------------
     # forward passes
@@ -372,10 +389,11 @@ class TFMAEModel(Module):
 
         When tape-replay scoring is enabled (:func:`repro.nn.jit.use_jit`,
         the default) the tensor-graph stage runs from a compiled tape
-        after the first call per (window shape, dtype, fused-policy) key.
-        The window shape is ``(time, features)``: one tape replays at
-        every batch size, and replay output is bitwise-identical to the
-        interpreted graph.
+        after the first call per (config, window shape, dtype,
+        fused-policy) key in the process.  The window shape is ``(time,
+        features)``: one tape replays at every batch size, the weights
+        are tape inputs so instances of one config share it, and replay
+        output is bitwise-identical to the interpreted graph.
         """
         if jit.jit_enabled():
             return self._jit_score(windows)
@@ -435,6 +453,7 @@ class TFMAEModel(Module):
     def _jit_score(self, windows: np.ndarray) -> np.ndarray:
         self._validate_windows(windows)
         key = (windows.shape[1:], self.compute_dtype, fused.fused_enabled())
+        batch = len(windows)
         with nn.no_grad(), nn.default_dtype(self.compute_dtype):
             slots = self._prelude(windows)
             tape = self._tapes.get(key)
@@ -442,23 +461,30 @@ class TFMAEModel(Module):
                 self._touch_tape(key)
                 score = self._score_graph(slots)
                 return self._score_post(score.data, interpreted=True)
-            if tape is not None:
-                if not tape.guards_ok():
-                    # A parameter array was rebound (checkpoint load,
-                    # publish, dtype cast): every cached tape refers to
-                    # stale arrays.
-                    self._tapes.clear()
-                elif tape.replays_at(len(windows)):
-                    self._touch_tape(key)
-                    return self._score_post(tape.replay(slots))
-            out, tape = jit.trace(
-                lambda: self._score_graph(slots), slots, self.parameters(),
-                batch_slots=self._batch_slots,
-            )
+            slots.update((name, param.data) for name, param in self._param_slots)
+            if tape is not None and tape.replays_at(batch):
+                self._touch_tape(key)
+                return self._score_post(tape.replay(slots))
+            shared_key = (self.config, self.n_features) + key
+            with _SHARED_TAPES_LOCK:
+                tape = _SHARED_TAPES.get(shared_key)
+            if tape is not None and tape.replays_at(batch):
+                scores = self._score_post(tape.replay(slots))
+            else:
+                out, tape = jit.trace(
+                    lambda: self._score_graph(slots), slots,
+                    batch_slots=self._batch_slots,
+                )
+                if tape is not None:
+                    # Another thread may have interned a tape for this
+                    # key meanwhile; either one is correct.
+                    with _SHARED_TAPES_LOCK:
+                        _SHARED_TAPES[shared_key] = tape
+                scores = self._score_post(out.data, interpreted=True)
             # A tape pinned to another batch size is replaced in place.
             self._tapes[key] = tape if tape is not None else _UNSUPPORTED
             self._touch_tape(key)
             while len(self._tapes) > self.config.jit_cache_size:
                 self._tapes.popitem(last=False)
                 self.jit_evictions += 1
-            return self._score_post(out.data, interpreted=True)
+            return scores

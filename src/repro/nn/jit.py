@@ -48,15 +48,17 @@ Argument references are resolved **by identity** at trace time:
 
 * an array produced by an earlier traced op → that step's output;
 * an array registered in the caller's input-slot dict → the slot name,
-  looked up fresh on every replay (this is how data-dependent values —
-  mask indices, positional encodings, the windows themselves — stay
-  dynamic);
-* a parameter's array → baked into the constant pool and protected
-  by a **guard**: before replay, :meth:`Tape.guards_ok` checks
-  ``param.data is traced_array`` for every referenced parameter, so
-  rebinding parameters (``load_state_dict``, publish/refit,
-  ``to_dtype``) invalidates the tape, while in-place optimizer updates
-  keep the identity and are picked up automatically;
+  looked up fresh on every replay.  This is how data-dependent values
+  (mask indices, positional encodings, the windows themselves) stay
+  dynamic, and how **parameters** enter: the caller passes each
+  parameter array as a named slot, so a tape depends on the
+  architecture alone, never on one instance's weights.  Rebinding
+  weights (``load_state_dict``, checkpoint load, shared-memory views)
+  cannot make a tape stale, and every instance with the same
+  architecture can replay the same tape over its own arrays;
+* a :class:`~repro.nn.module.Parameter` whose array is not a slot →
+  :class:`TraceUnsupported`, whatever its size: baking it would tie the
+  tape to one instance's weights;
 * any other array of ``size <= 1`` → baked as a constant;
 * anything else → :class:`TraceUnsupported`, which soft-fails the trace
   (the interpreted result is still returned; the caller caches the key
@@ -87,6 +89,7 @@ import threading
 import numpy as np
 
 from .fused import _GELU_COEFF, _SQRT_2_OVER_PI
+from .module import Parameter
 from .policy import Switch
 from .tensor import op_hook
 
@@ -145,14 +148,13 @@ class _TapeBuilder:
     RNG consumed by the caller's prelude is consumed exactly once).
     """
 
-    def __init__(self, slots: dict, params, batch_slots) -> None:
+    def __init__(self, slots: dict, batch_slots) -> None:
         self.slot_arrays = {
             name: value
             for name, value in slots.items()
             if isinstance(value, np.ndarray)
         }
         self._slot_ids = {id(value): name for name, value in self.slot_arrays.items()}
-        self._param_ids = {id(p.data): p for p in params}
         #: The declared batch slots this call provides, in declaration
         #: order; the first one carries ``B`` at replay.
         self.batch_slots = tuple(
@@ -164,8 +166,6 @@ class _TapeBuilder:
         # the trace: under no_grad the graph holds no parent references,
         # and a collected tensor's id could be reused mid-trace.
         self.keepalive: list = []
-        self.guards: list = []
-        self._guard_ids: set[int] = set()
         self.failed: str | None = None
 
     # -- hook interface -------------------------------------------------
@@ -197,19 +197,18 @@ class _TapeBuilder:
         name = self._slot_ids.get(id(data))
         if name is not None:
             return (_SLOT, name)
-        param = self._param_ids.get(id(data))
-        if param is not None:
-            if id(param) not in self._guard_ids:
-                self._guard_ids.add(id(param))
-                self.guards.append((param, data))
-            return (_CONST, data)
+        if isinstance(parent, Parameter):
+            # Weights are always slots: a baked one would score every
+            # instance sharing this tape with one instance's values.
+            raise TraceUnsupported(
+                f"parameter of shape {data.shape} is not a registered input slot"
+            )
         if data.size <= 1:
             # Scalar leaves (coerced Python numbers) are immutable in
             # practice; bake a private copy to be safe.
             return (_CONST, data.copy())
         raise TraceUnsupported(
-            f"leaf array of shape {data.shape} is neither a registered "
-            "input slot nor a parameter"
+            f"leaf array of shape {data.shape} is not a registered input slot"
         )
 
     def _resolve_obj(self, obj):
@@ -242,7 +241,7 @@ class _TapeBuilder:
         return meta
 
 
-def trace(fn, slots: dict, params, batch_slots):
+def trace(fn, slots: dict, batch_slots):
     """Run ``fn()`` once under the tape builder.
 
     Returns ``(out, tape)`` where ``out`` is the traced call's own
@@ -255,7 +254,7 @@ def trace(fn, slots: dict, params, batch_slots):
     replays at every batch size (see the module docstring).  A call that
     provides none of them does not compile.
     """
-    builder = _TapeBuilder(slots, params, batch_slots)
+    builder = _TapeBuilder(slots, batch_slots)
     with op_hook(builder):
         out = fn()
     if builder.failed is not None or id(out) not in builder.tensor_step:
@@ -473,10 +472,11 @@ class _Codegen:
     The whole tape compiles to **one** generated Python function: every
     step's output is a local variable (``e<i>``), input slots and frame
     buffers are hoisted to locals once per call, and baked constants
-    (parameter arrays, index tuples) live in the ``C`` pool captured in
-    the function's globals.  This removes all per-step dispatch — no
-    closure calls, no argument getters, no env list — leaving only the
-    raw numpy kernel sequence.
+    (index tuples and other non-literal metadata) live in the ``C`` pool
+    captured in the function's globals.  Parameter arrays are input
+    slots like any other, never pool constants.  This removes all
+    per-step dispatch — no closure calls, no argument getters, no env
+    list — leaving only the raw numpy kernel sequence.
 
     ``batch_steps`` holds the batch-major step indices; their shape
     literals lead with the replay's ``B`` instead of the traced size.
@@ -563,11 +563,12 @@ class Tape:
     the same memory with zero allocation for buffered steps.  Each
     thread's batch-major buffers are sized for the largest batch it has
     replayed; the frame is reallocated only when a larger batch arrives.
+    A tape holds no weights, so model instances that share it share its
+    frames too.
     """
 
     def __init__(self, builder: _TapeBuilder, out_id: int):
         steps = builder.steps
-        self._guards = tuple(builder.guards)
         self._out_step = builder.tensor_step[out_id]
         self._tls = threading.local()
 
@@ -703,13 +704,6 @@ class Tape:
         #: step and planned-buffer counts, exposed for tests/diagnostics.
         self.num_steps = n
         self.num_buffers = len(specs)
-
-    def guards_ok(self) -> bool:
-        """True while every traced parameter still binds its traced array."""
-        for param, data in self._guards:
-            if param.data is not data:
-                return False
-        return True
 
     def replays_at(self, batch: int) -> bool:
         """Whether the tape replays a call of ``batch`` rows: any size,

@@ -90,8 +90,7 @@ class SGD(Optimizer):
             else:
                 update = param.grad
             # In-place update (bitwise-identical values to the historical
-            # rebinding form): keeps ``param.data`` identity stable so
-            # compiled tapes guarding on it survive optimisation steps.
+            # rebinding form): no fresh parameter array per step.
             np.subtract(param.data, self.lr * update, out=param.data)
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -150,8 +149,7 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             # In-place update (bitwise-identical values to the historical
-            # rebinding form): scoring tapes guard on ``param.data``
-            # identity, which must survive every step.
+            # rebinding form): no fresh parameter array per step.
             np.subtract(param.data, self.lr * m_hat / (np.sqrt(v_hat) + self.eps),
                         out=param.data)
 

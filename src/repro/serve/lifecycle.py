@@ -198,6 +198,9 @@ class ShadowReport:
     candidate_crossings: int
     windows: int
     reasons: tuple[str, ...] = field(default=())
+    #: The candidate's scores on the shadow windows: a refresh rebases
+    #: its drift monitor on them instead of scoring the windows again.
+    candidate_scores: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def shadow_compare(
@@ -233,6 +236,7 @@ def shadow_compare(
             live_crossings=int(np.sum(live_scores >= live.threshold_)),
             candidate_crossings=0, windows=len(windows),
             reasons=(f"candidate produced {bad} non-finite scores",),
+            candidate_scores=candidate_scores,
         )
     ks = ks_distance(live_scores, candidate_scores)
     gap = cdf_gap(live_scores, candidate_scores)
@@ -255,6 +259,7 @@ def shadow_compare(
         candidate_crossings=int(np.sum(candidate_hits)),
         windows=len(windows),
         reasons=tuple(reasons),
+        candidate_scores=candidate_scores,
     )
 
 
@@ -483,7 +488,7 @@ class LifecycleManager:
             )
         version = self.publish_guarded(candidate, probe_windows)
         if self.drift is not None:
-            self.drift.rebase(candidate.score_last(probe_windows))
+            self.drift.rebase(shadow.candidate_scores)
         return RefreshReport(
             refreshed=True, reason="published", drift=drift_report,
             shadow=shadow, version=version, refit_seconds=refit_seconds,

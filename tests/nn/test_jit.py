@@ -1,4 +1,5 @@
-"""Tape-replay JIT: bitwise equivalence, guards, cache keys, mixed batches, fallback.
+"""Tape-replay JIT: bitwise equivalence, weight rebinding, cache keys, shared
+tapes, mixed batches, fallback.
 
 The contract of :mod:`repro.nn.jit` is strict: replay output must be
 *bitwise* identical to the interpreted graph — every kernel emitter
@@ -119,28 +120,45 @@ class TestBitwiseEquivalence:
         assert np.array_equal(first, snapshot)
 
 
+def _count_traces(monkeypatch) -> list:
+    """Record every ``jit.trace`` call from here to the end of the test."""
+    calls: list = []
+    real = jit.trace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jit, "trace", counting)
+    return calls
+
+
 class TestGuards:
-    def test_load_state_dict_invalidates_tapes(self):
+    """Rebinding or updating weights never leaves a stale tape: the
+    parameters are tape inputs, read afresh on every replay."""
+
+    def test_load_state_dict_replays_new_weights(self, monkeypatch):
         detector = _fitted("default", "float64")
         model = detector.model
         windows = _windows(detector)
         with jit.use_jit(True):
-            model.score_windows(windows)
-            assert model._tapes  # tape cached
+            before = model.score_windows(windows)
             tape = next(iter(model._tapes.values()))
-            assert tape.guards_ok()
 
             # Rebind every parameter array (what load_model / publish do).
             state = model.state_dict()
             for name in state:
                 state[name] = state[name] * 1.5
             model.load_state_dict(state)
-            assert not tape.guards_ok()
 
             with jit.use_jit(False):
                 interpreted = model.score_windows(windows)
-            replayed = model.score_windows(windows)  # retraces, not stale
+            traces = _count_traces(monkeypatch)
+            replayed = model.score_windows(windows)
+        assert traces == []
+        assert next(iter(model._tapes.values())) is tape
         assert np.array_equal(interpreted, replayed)
+        assert not np.array_equal(before, replayed)
 
     def test_checkpoint_roundtrip_stays_bitwise(self, tmp_path):
         from repro.nn.serialization import load_model, save_model
@@ -152,12 +170,12 @@ class TestGuards:
             before = model.score_windows(windows)
             save_model(model, tmp_path / "ckpt.npz")
             load_model(model, tmp_path / "ckpt.npz")
-            after = model.score_windows(windows)  # guards tripped, retraced
+            after = model.score_windows(windows)
         assert np.array_equal(before, after)
 
     def test_inplace_update_keeps_tape_valid(self):
-        """Optimizer-style in-place writes keep array identity: no retrace,
-        and replay reads the new values."""
+        """Optimizer-style in-place writes: no retrace, and replay reads
+        the new values."""
         detector = _fitted("default", "float64")
         model = detector.model
         windows = _windows(detector)
@@ -166,10 +184,10 @@ class TestGuards:
             tape = next(iter(model._tapes.values()))
             param = next(iter(model.parameters()))
             param.data *= 1.01  # repro: noqa[MUT001] - optimizer-style step
-            assert tape.guards_ok()
             with jit.use_jit(False):
                 interpreted = model.score_windows(windows)
             assert np.array_equal(interpreted, model.score_windows(windows))
+            assert next(iter(model._tapes.values())) is tape
 
 
 class TestTapeCache:
@@ -229,6 +247,154 @@ class TestTapeCache:
     def test_cache_size_validated(self):
         with pytest.raises(ValueError, match="jit_cache_size"):
             TFMAEConfig(jit_cache_size=0)
+
+
+def _shared_config(dtype: str = "float64", **overrides) -> TFMAEConfig:
+    """A config no module-level fitted model uses, so its shared-tape
+    key starts empty in every test."""
+    base = dict(window_size=30, d_model=8, num_layers=1, num_heads=2,
+                temporal_mask_ratio=30.0, frequency_mask_ratio=30.0,
+                seed=17, compute_dtype=dtype)
+    return TFMAEConfig(**{**base, **overrides})
+
+
+def _shared_windows() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    size = _shared_config().window_size
+    return np.stack([_sine_series(rng, size) for _ in range(3)])
+
+
+def _shared_entries(config: TFMAEConfig) -> list:
+    """The process-wide interned tape keys of ``config``."""
+    from repro.core.model import _SHARED_TAPES
+
+    return [key for key in list(_SHARED_TAPES.keys()) if key[0] == config]
+
+
+class TestSharedTapes:
+    """A tape depends on the architecture only: every instance of one
+    config replays the same tape over its own weights."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("use_fused", [True, False])
+    def test_instances_of_one_config_trace_once(self, monkeypatch, variant,
+                                                dtype, use_fused):
+        config = _shared_config(dtype, **VARIANTS[variant])
+        first, second = TFMAEModel(1, config), TFMAEModel(1, config)
+        rng = np.random.default_rng(5)
+        second.load_state_dict({
+            name: value + rng.normal(scale=0.1, size=value.shape)
+            for name, value in first.state_dict().items()
+        })
+        windows = _shared_windows()
+        traces = _count_traces(monkeypatch)
+        scores = {}
+        with fused.use_fused(use_fused):
+            for name, model in (("first", first), ("second", second)):
+                with jit.use_jit(False):
+                    interpreted = model.score_windows(windows)
+                with jit.use_jit(True):
+                    compiled = [model.score_windows(windows) for _ in range(2)]
+                for result in compiled:
+                    assert np.array_equal(interpreted, result), name
+                scores[name] = interpreted
+        assert len(traces) == 1
+        (tape,) = first._tapes.values()
+        assert second._tapes[next(iter(first._tapes))] is tape
+        assert not np.array_equal(scores["first"], scores["second"])
+
+    def test_univariate_mask_token_is_not_baked(self, monkeypatch):
+        """``mask_token_re`` has shape ``(1,)`` on a univariate model: a
+        baked copy would score the second instance with the first's."""
+        config = _shared_config()
+        first, second = TFMAEModel(1, config), TFMAEModel(1, config)
+        second.frequency.mask_token_re.data = first.frequency.mask_token_re.data + 1.0
+        assert second.frequency.mask_token_re.shape == (1,)
+        windows = _shared_windows()
+        traces = _count_traces(monkeypatch)
+        with jit.use_jit(True):
+            first_scores = first.score_windows(windows)
+            second_scores = second.score_windows(windows)
+        with jit.use_jit(False):
+            expected = second.score_windows(windows)
+        assert len(traces) == 1
+        assert np.array_equal(second_scores, expected)
+        assert not np.array_equal(first_scores, second_scores)
+
+    def test_architecture_change_does_not_share(self, monkeypatch):
+        """One differing architecture field gets its own tape; a third
+        instance of the first config replays the first's."""
+        windows = _shared_windows()
+        models = [TFMAEModel(1, _shared_config()),
+                  TFMAEModel(1, _shared_config(ffn_dim=16)),
+                  TFMAEModel(1, _shared_config())]
+        traces = _count_traces(monkeypatch)
+        for model in models:
+            with jit.use_jit(False):
+                expected = model.score_windows(windows)
+            with jit.use_jit(True):
+                assert np.array_equal(model.score_windows(windows), expected)
+        assert len(traces) == 2
+        tapes = [next(iter(model._tapes.values())) for model in models]
+        assert tapes[0] is not tapes[1]
+        assert tapes[2] is tapes[0]
+
+    def test_registry_load_fresh_replays_without_tracing(self, monkeypatch, tmp_path):
+        from repro.serve import ModelRegistry
+
+        detector = TFMAE(_shared_config(seed=29, anomaly_ratio=5.0, batch_size=8))
+        series = _sine_series(np.random.default_rng(1), 200)
+        detector.fit(series[:150], series[150:])  # serving needs a threshold
+        windows = _windows(detector)
+        registry = ModelRegistry(tmp_path)
+        registry.publish("tfmae", detector)
+        with jit.use_jit(True):
+            detector.score_last(windows)  # the published instance's tape
+            fresh, _ = registry.load_fresh("tfmae")
+            traces = _count_traces(monkeypatch)
+            scores = fresh.score_last(windows)
+        with jit.use_jit(False):
+            expected = fresh.score_last(windows)
+        assert traces == []
+        assert np.array_equal(scores, expected)
+
+    def test_entry_dies_with_the_last_instance(self):
+        import gc
+
+        config = _shared_config(seed=23)
+        windows = _shared_windows()
+        first, second = TFMAEModel(1, config), TFMAEModel(1, config)
+        with jit.use_jit(True):
+            first.score_windows(windows)
+            second.score_windows(windows)
+        assert len(_shared_entries(config)) == 1
+        del first
+        gc.collect()
+        assert len(_shared_entries(config)) == 1  # second still holds it
+        del second
+        gc.collect()
+        assert _shared_entries(config) == []
+
+    def test_unslotted_parameter_falls_back_unbaked(self):
+        """A parameter leaf that is not an input slot soft-fails the trace
+        whatever its size; passed as a slot, replay reads its array."""
+        weight = nn.Parameter(np.array([2.0]))
+        rng = np.random.default_rng(0)
+        slots = {"x": rng.normal(size=(4, 3))}
+        with nn.no_grad():
+            out, tape = jit.trace(lambda: Tensor(slots["x"]) * weight, slots,
+                                  batch_slots=("x",))
+        assert np.array_equal(out.data, slots["x"] * 2.0)
+        assert tape is None
+
+        slots["w"] = weight.data
+        with nn.no_grad():
+            _, tape = jit.trace(lambda: Tensor(slots["x"]) * weight, slots,
+                                batch_slots=("x",))
+        assert tape is not None
+        replayed = tape.replay({"x": slots["x"], "w": np.array([3.0])})
+        assert np.array_equal(replayed, slots["x"] * 3.0)
 
 
 #: Mixed micro-batch sizes: the largest first, then smaller and repeated.
@@ -314,7 +480,7 @@ class TestBatchPolymorphic:
         with nn.no_grad():
             out, tape = jit.trace(
                 lambda: graph(Tensor(slots["x"]), Tensor(slots["w"])),
-                slots, [], batch_slots=("x",),
+                slots, batch_slots=("x",),
             )
         assert out is not None
         assert tape is None
@@ -337,7 +503,7 @@ class TestBatchPolymorphic:
 
         slots, _ = run(4)
         with nn.no_grad():
-            _, tape = jit.trace(lambda: graph(slots), slots, [], batch_slots=("x",))
+            _, tape = jit.trace(lambda: graph(slots), slots, batch_slots=("x",))
         assert tape is not None
         for batch in (7, 1, 4):
             slots, expected = run(batch)
@@ -356,7 +522,7 @@ class TestBatchPolymorphic:
 
         slots = {"x": rng.normal(size=(4, 4, 3))}
         with nn.no_grad():
-            _, tape = jit.trace(lambda: graph(slots), slots, [], batch_slots=("x",))
+            _, tape = jit.trace(lambda: graph(slots), slots, batch_slots=("x",))
         assert tape is not None
         assert tape.replays_at(4) and not tape.replays_at(7)
         slots = {"x": rng.normal(size=(4, 4, 3))}
@@ -364,7 +530,7 @@ class TestBatchPolymorphic:
             assert np.array_equal(tape.replay(slots), graph(slots).data)
         slots = {"x": rng.normal(size=(7, 4, 3))}
         with nn.no_grad():
-            _, tape = jit.trace(lambda: graph(slots), slots, [], batch_slots=("x",))
+            _, tape = jit.trace(lambda: graph(slots), slots, batch_slots=("x",))
         assert tape is None
 
     def test_pinned_tape_is_retraced_in_place(self):
@@ -408,7 +574,7 @@ class TestBatchPolymorphic:
 
         slots = {"x": rng.normal(size=(4, 4, 3))}
         with nn.no_grad():
-            _, tape = jit.trace(lambda: graph(slots), slots, [], batch_slots=("x",))
+            _, tape = jit.trace(lambda: graph(slots), slots, batch_slots=("x",))
         assert tape is not None
         assert tape.num_buffers == 3  # x * 3 does not reuse x * 2's buffer
         for batch in (1, 4):
@@ -419,7 +585,7 @@ class TestBatchPolymorphic:
     def test_trace_needs_a_batch_slot(self):
         slots = {"x": np.ones((4, 3))}
         with nn.no_grad():
-            out, tape = jit.trace(lambda: Tensor(slots["x"]) * 2.0, slots, [],
+            out, tape = jit.trace(lambda: Tensor(slots["x"]) * 2.0, slots,
                                   batch_slots=("windows",))
         assert np.array_equal(out.data, slots["x"] * 2.0)
         assert tape is None

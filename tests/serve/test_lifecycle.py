@@ -172,6 +172,31 @@ class TestWatchdogRollback:
         assert registry.live_version("tfmae") == "v2"
         assert report.checks["probe_ks"] == 0.0
 
+    def test_watchdog_replays_the_shared_tape(
+        self, monkeypatch, tmp_path, fitted_tfmae, sine_series
+    ):
+        """The newly published version's first score replays the tape its
+        predecessor traced: the watchdog compiles nothing."""
+        from repro.nn import jit
+
+        registry = ModelRegistry(tmp_path)
+        manager = LifecycleManager(registry, "tfmae")
+        windows = _probe_windows(sine_series)
+        manager.publish_guarded(fitted_tfmae, windows)
+        candidate, _ = registry.load_fresh("tfmae")
+        manager.publish_guarded(candidate, windows)
+        traces = []
+        real_trace = jit.trace
+
+        def counting(*args, **kwargs):
+            traces.append(args)
+            return real_trace(*args, **kwargs)
+
+        monkeypatch.setattr(jit, "trace", counting)
+        report = manager.watchdog_check()
+        assert report.healthy
+        assert traces == []
+
 
 # ----------------------------------------------------------------------
 # drift-triggered refresh pipeline
@@ -202,6 +227,35 @@ class TestRefresh:
         assert report.version == "v2"
         assert report.shadow is not None and report.shadow.agreed
         assert registry.live_version("tfmae") == "v2"
+
+    def test_refresh_scores_candidate_probes_once(
+        self, rng, tmp_path, fitted_tfmae, sine_series
+    ):
+        """With a drift monitor attached, the rebase reuses the shadow
+        run's candidate scores instead of scoring the probes again."""
+        registry = ModelRegistry(tmp_path)
+        registry.publish("tfmae", fitted_tfmae)
+        probes = _probe_windows(sine_series)
+        monitor = DriftMonitor(np.abs(rng.normal(size=500)))
+        candidates, calls = [], []
+
+        def refit(candidate, recent, validation) -> None:
+            candidates.append(candidate)
+            score_last = candidate.score_last
+
+            def counted(windows):
+                calls.append(windows)
+                return score_last(windows)
+
+            candidate.score_last = counted
+
+        manager = LifecycleManager(registry, "tfmae", drift=monitor, refit=refit)
+        report = manager.refresh(sine_series[:200], probe_windows=probes, force=True)
+        assert report.refreshed
+        assert len(calls) == 1
+        (candidate,) = candidates
+        expected = type(candidate).score_last(candidate, probes)
+        np.testing.assert_array_equal(monitor.reference, expected)
 
     def test_refresh_rejects_diverging_candidate(
         self, tmp_path, fitted_tfmae, sine_series
