@@ -46,7 +46,10 @@ Three acceptance properties are asserted in-bench:
   segments resident on it.
 
 Environment: ``REPRO_BENCH_POOL_REQUESTS`` (default 160) requests per
-row.
+row.  Run with ``OPENBLAS_NUM_THREADS=1``: each worker otherwise starts
+one BLAS thread per core, and two workers on two cores oversubscribe
+them (procs=2 fell to a third of procs=1's throughput that way on a
+2-vCPU host).  The JSON records the setting as ``blas_threads``.
 """
 
 from __future__ import annotations
@@ -263,6 +266,7 @@ def _check_owner_mappings(pool, rss_start: dict, rss_end: dict) -> dict:
 
 def run_multiproc_bench() -> tuple[str, dict]:
     cores = os.cpu_count() or 1
+    blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "default")
     detector, windows = _fit_detector()
     expected = {
         i: float(detector.score_last(window[None])[0])
@@ -305,7 +309,7 @@ def run_multiproc_bench() -> tuple[str, dict]:
     lines = [
         f"Multi-process serving ({REQUESTS} requests/run, median of "
         f"{DRIVES} runs, {CLIENTS_PER_PROC} clients/worker, "
-        f"{len(MODELS)} models, cpu_count={cores})",
+        f"{len(MODELS)} models, cpu_count={cores}, blas_threads={blas_threads})",
         header,
         "-" * len(header),
     ]
@@ -336,6 +340,7 @@ def run_multiproc_bench() -> tuple[str, dict]:
     )
     payload = {
         "cpu_count": cores,
+        "blas_threads": blas_threads,
         "regime": "parallel" if cores >= max(PROC_COUNTS) else "cpu_limited",
         "regime_note": (
             "cores >= 4: worker processes score concurrently; throughput "

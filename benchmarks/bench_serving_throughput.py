@@ -13,15 +13,13 @@ Client-side latency lands in a :class:`repro.serve.metrics.Histogram`
 achieved coalescing is reported from the batcher's own
 ``serve_batch_size`` histogram.
 
-Every row runs twice — interpreted and tape-replay (``jit=`` on the
-batcher) — so the table separates what coalescing buys from what
-trace-compiled scoring buys end to end.
+Every row runs twice — interpreted and tape-replay (the process-wide
+:func:`repro.nn.jit.set_jit` switch, restored after the row) — so the
+table separates what coalescing buys from what trace-compiled scoring
+buys end to end.
 
-The batcher runs at its default ``max_delay`` of 0: a free worker scores
-whatever is queued at once, and requests that arrive while it scores
-coalesce into the next batch.  One extra row (``max_batch`` 32, JIT on)
-re-runs with ``max_delay`` 2 ms, the old default, on the same closed-loop
-traffic, where a wait for company could buy batch size.
+A free worker scores whatever is queued at once, and requests that
+arrive while it scores coalesce into the next batch.
 
 Expected shape: on multi-core runners throughput rises with the
 batch-size budget (vectorized ``score_windows`` amortises Python and
@@ -42,6 +40,7 @@ import time
 import numpy as np
 
 from repro import TFMAE, TFMAEConfig
+from repro.nn import jit
 from repro.serve import MicroBatcher
 from repro.serve.metrics import Histogram
 from repro.datasets import get_dataset
@@ -53,8 +52,6 @@ WINDOW = 100
 BATCH_SIZES = (1, 8, 32)
 CLIENTS = 8
 REQUESTS = int(os.environ.get("REPRO_BENCH_SERVE_REQUESTS", "320"))
-#: Seconds the comparison row's batcher waits for company.
-WAIT_DELAY = 0.002
 WORKERS = 2
 
 
@@ -68,18 +65,26 @@ def _fit_detector() -> tuple[TFMAE, np.ndarray]:
     return detector, dataset.test
 
 
-def _run_config(
-    detector: TFMAE, test: np.ndarray, max_batch_size: int, use_jit: bool = True,
-    **batcher_options,
-) -> dict:
+def _run_config(detector: TFMAE, test: np.ndarray, max_batch_size: int,
+                use_jit: bool) -> dict:
+    # The worker threads read the process-wide default, so the row sets
+    # it and puts the previous value back afterwards.
+    previous = jit.jit_enabled()
+    jit.set_jit(use_jit)
+    try:
+        return _measure(detector, test, max_batch_size)
+    finally:
+        jit.set_jit(previous)
+
+
+def _measure(detector: TFMAE, test: np.ndarray, max_batch_size: int) -> dict:
     windows = [test[i : i + WINDOW] for i in range(0, REQUESTS)]
     latency = Histogram(capacity=REQUESTS)
     errors: list[BaseException] = []
 
     with MicroBatcher(detector_for=lambda key: detector,
                       max_batch_size=max_batch_size,
-                      max_queue=REQUESTS + CLIENTS, workers=WORKERS,
-                      jit=use_jit, **batcher_options) as batcher:
+                      max_queue=REQUESTS + CLIENTS, workers=WORKERS) as batcher:
 
         def client(offsets: range) -> None:
             for offset in offsets:
@@ -126,8 +131,7 @@ def run_serving_bench() -> tuple[str, dict]:
               f"{'p95 ms':>8} {'p99 ms':>8} {'mean batch':>11}")
     lines = [
         f"Serving throughput ({DATASET} profile, {REQUESTS} requests, "
-        f"{CLIENTS} concurrent clients, {WORKERS} workers, max_delay=0 "
-        f"unless marked)",
+        f"{CLIENTS} concurrent clients, {WORKERS} workers)",
         header,
         "-" * len(header),
     ]
@@ -135,25 +139,19 @@ def run_serving_bench() -> tuple[str, dict]:
     jit_gain: dict[str, float] = {}
     results: dict[str, dict] = {}
 
-    def add_row(key: str, row: dict, use_jit: bool, note: str = "") -> None:
-        results[key] = row
-        lines.append(
-            f"{row['batch']:>9d} {'on' if use_jit else 'off':>4} "
-            f"{row['rps']:>8.0f} r/s {row['p50']:>8.2f} "
-            f"{row['p95']:>8.2f} {row['p99']:>8.2f} {row['mean_batch']:>11.1f}{note}"
-        )
-
     for batch_size in BATCH_SIZES:
         rps: dict[bool, float] = {}
         for use_jit in (False, True):
-            row = _run_config(detector, test, batch_size, use_jit=use_jit)
+            row = _run_config(detector, test, batch_size, use_jit)
             rps[use_jit] = row["rps"]
-            add_row(f"B{batch_size}/{'jit' if use_jit else 'interp'}", row, use_jit)
+            results[f"B{batch_size}/{'jit' if use_jit else 'interp'}"] = row
+            lines.append(
+                f"{row['batch']:>9d} {'on' if use_jit else 'off':>4} "
+                f"{row['rps']:>8.0f} r/s {row['p50']:>8.2f} "
+                f"{row['p95']:>8.2f} {row['p99']:>8.2f} {row['mean_batch']:>11.1f}"
+            )
         throughput[batch_size] = rps[True]
         jit_gain[str(batch_size)] = rps[True] / rps[False]
-    waited = _run_config(detector, test, 32, use_jit=True, max_delay=WAIT_DELAY)
-    add_row("B32/jit/wait", waited, True, f"  max_delay={WAIT_DELAY * 1e3:g}ms")
-    greedy = results["B32/jit"]
     best = max(BATCH_SIZES, key=lambda size: throughput[size])
     lines.append(
         f"micro-batching speedup vs per-request (jit on): "
@@ -163,20 +161,12 @@ def run_serving_bench() -> tuple[str, dict]:
         f"B{batch}: {gain:.2f}x" for batch, gain in jit_gain.items()
     )
     lines.append(f"jit throughput gain vs interpreted scoring: {gains}")
-    greedy_vs_wait = {
-        "rps": greedy["rps"] / waited["rps"],
-        "mean_batch": greedy["mean_batch"] / waited["mean_batch"],
-    }
-    lines.append(
-        f"greedy vs max_delay={WAIT_DELAY * 1e3:g}ms at max_batch=32 (jit on): "
-        f"{greedy_vs_wait['rps']:.2f}x rps, "
-        f"{greedy_vs_wait['mean_batch']:.2f}x mean batch"
-    )
     payload = {
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
+        "cpu_count": os.cpu_count(),
         "results": results,
         "throughput_rps_jit": {str(b): throughput[b] for b in BATCH_SIZES},
         "jit_gain": jit_gain,
-        "greedy_vs_wait": greedy_vs_wait,
     }
     return "\n".join(lines), payload
 

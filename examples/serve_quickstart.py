@@ -58,7 +58,7 @@ def main() -> None:
         print(f"published tfmae:{version} -> {root}")
 
         with InferenceServer(registry, port=0, max_batch_size=8,
-                             max_delay=0.005, workers=2) as server:
+                             workers=2) as server:
             print(f"serving at {server.url}")
 
             # 3. A burst of concurrent requests through the micro-batcher.

@@ -88,15 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port; 0 binds an ephemeral port")
     serve.add_argument("--max-batch-size", type=int, default=32,
                        help="most windows coalesced into one forward pass")
-    serve.add_argument("--max-delay-ms", type=float, default=0.0,
-                       help="longest a request waits for company once the "
-                            "worker is free (0: score what is queued)")
     serve.add_argument("--queue-size", type=int, default=256,
                        help="bounded request queue; beyond it requests are "
                             "shed with HTTP 429")
-    serve.add_argument("--threads", type=int, default=None,
+    serve.add_argument("--threads", type=int, default=2,
                        help="scoring worker threads for the in-process tier "
-                            "(default 2; ignored when --procs > 0)")
+                            "(ignored when --procs > 0)")
     serve.add_argument("--procs", type=int, default=0,
                        help="scoring worker processes (shards past the GIL "
                             "with shared-memory weights); 0 keeps the "
@@ -104,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=64,
                        help="per-model in-flight quota in the process tier; "
                             "beyond it requests are shed with HTTP 429")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="deprecated alias for --threads")
     serve.add_argument("--load-retries", type=int, default=2,
                        help="transient artifact-load failures retried per "
                             "request (capped exponential backoff)")
@@ -165,27 +160,10 @@ def _validate_serve_args(args: argparse.Namespace) -> None:
     """Reject nonsensical worker/quota counts before any socket binds."""
     if args.procs < 0:
         raise SystemExit(f"--procs must be >= 0, got {args.procs}")
-    for flag, value in (("--threads", args.threads), ("--workers", args.workers)):
-        if value is not None and value < 1:
-            raise SystemExit(f"{flag} must be >= 1, got {value}")
+    if args.threads < 1:
+        raise SystemExit(f"--threads must be >= 1, got {args.threads}")
     if args.max_inflight < 1:
         raise SystemExit(f"--max-inflight must be >= 1, got {args.max_inflight}")
-
-
-def _resolve_serve_threads(args: argparse.Namespace) -> int:
-    """Thread-worker count from --threads, honouring the --workers alias."""
-    if args.workers is not None:
-        import warnings
-
-        warnings.warn(
-            "--workers is deprecated; use --threads (thread tier) or "
-            "--procs (process tier) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if args.threads is None:
-            return args.workers
-    return args.threads if args.threads is not None else 2
 
 
 def _build_server(args: argparse.Namespace):
@@ -220,9 +198,8 @@ def _build_server(args: argparse.Namespace):
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch_size,
-        max_delay=args.max_delay_ms / 1000.0,
         max_queue=args.queue_size,
-        workers=_resolve_serve_threads(args),
+        workers=args.threads,
         procs=args.procs,
         max_inflight_per_model=args.max_inflight,
     )

@@ -393,9 +393,12 @@ class TFMAEModel(Module):
         fused-policy) key in the process.  The window shape is ``(time,
         features)``: one tape replays at every batch size, the weights
         are tape inputs so instances of one config share it, and replay
-        output is bitwise-identical to the interpreted graph.
+        output is bitwise-identical to the interpreted graph.  A model in
+        training mode with active dropout always runs interpreted: its
+        random masks cannot be traced, and the tape key does not see
+        the mode.
         """
-        if jit.jit_enabled():
+        if jit.jit_enabled() and not (self.training and self.config.dropout > 0):
             return self._jit_score(windows)
         self._validate_windows(windows)
         with nn.no_grad(), nn.default_dtype(self.compute_dtype):

@@ -16,7 +16,6 @@ bench datasets.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import genpareto
 
 __all__ = ["pot_threshold"]
 
@@ -63,6 +62,10 @@ def pot_threshold(
         return float(np.quantile(scores, 1.0 - q))
 
     # Fit GPD to excesses with location pinned at zero.
+    # scipy.stats costs ~1 s to import; only this function needs it, so
+    # serving processes and pool workers never pay for it.
+    from scipy.stats import genpareto
+
     shape, _, scale = genpareto.fit(excesses, floc=0.0)
     n = scores.size
     n_excess = excesses.size

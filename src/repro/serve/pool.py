@@ -27,11 +27,10 @@ module shards the scoring work across **worker processes**:
   worker backs off instead of thrashing — one shard degrades, never the
   server.
 
-Equivalence: workers score through the same
-:meth:`~repro.detector.BaseDetector.score_last` chunked path as the
-thread scheduler, on bit-identical weights (the shared segment holds
-the exact ``state_dict`` bytes), so pool scores are **bitwise
-identical** to the in-process path — asserted by
+Equivalence: workers batch through the thread scheduler's own
+:func:`~repro.serve.scheduler.score_groups`, on bit-identical weights
+(the shared segment holds the exact ``state_dict`` bytes), so pool
+scores are **bitwise identical** to the in-process path — asserted by
 ``benchmarks/bench_multiproc_serving.py`` and the pool tests.
 
 Protocol (pickle tuples over one duplex pipe per worker, FIFO)::
@@ -46,9 +45,9 @@ Protocol (pickle tuples over one duplex pipe per worker, FIFO)::
 FIFO ordering is load-bearing: a ``load`` is enqueued before the first
 ``score`` for its key, so the parent marks the key resident
 optimistically and never waits for the ack.  Workers drain their pipe
-opportunistically and group consecutive score requests by
-``(key, shape)`` into one vectorized ``score_last`` call — the same
-micro-batching the thread scheduler does, now per shard.
+opportunistically and hand each run of consecutive score requests to
+:func:`~repro.serve.scheduler.score_groups` — the same micro-batching
+the thread scheduler does, now per shard.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ import os
 import signal
 import threading
 import time
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from concurrent.futures import Future
 from typing import Callable
 
@@ -77,12 +76,16 @@ from .errors import (
 from .hashring import HashRing
 from .metrics import MetricsRegistry
 from .registry import _lookup_codec
+from .scheduler import score_groups
 from .shm import WeightSegment, attach_segment
 
 __all__ = ["ProcessPool"]
 
 #: Most queued score messages a worker folds into one vectorized call.
 _WORKER_MAX_BATCH = 64
+
+#: A ("score", req_id, key, window) pipe message, named for score_groups.
+_ScoreMessage = namedtuple("_ScoreMessage", "op req_id model_key window")
 
 #: Typed-error transport: workers classify exceptions to one of these
 #: kinds; the parent rebuilds the matching type so the HTTP error
@@ -149,39 +152,17 @@ def _read_proc_rss() -> dict[str, int]:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
-def _worker_score(conn, models: dict, batch: list, jit: bool | None) -> None:
+def _worker_score(conn, detector_for: Callable[[str], BaseDetector], batch: list) -> None:
     """Score a run of ("score", req_id, key, window) messages, grouped."""
-    from ..nn import jit as nn_jit
-
-    groups: dict[tuple[str, tuple[int, ...]], list] = defaultdict(list)
-    for _op, req_id, key, window in batch:
-        groups[(key, window.shape)].append((req_id, window))
-    for (key, _shape), items in groups.items():
-        detector = models.get(key)
-        if detector is None:
-            for req_id, _window in items:
-                conn.send(("score_err", req_id, "transient",
-                           f"model {key} is not resident in this worker"))
+    messages = [_ScoreMessage._make(message) for message in batch]
+    for _key, members, outcome in score_groups(messages, detector_for):
+        if isinstance(outcome, BaseException):
+            kind, text = _classify(outcome), str(outcome)
+            for member in members:
+                conn.send(("score_err", member.req_id, kind, text))
             continue
-        try:
-            # Mirror the thread scheduler exactly (bitwise equivalence):
-            # a batch of one rides a zero-copy view, larger ones stack.
-            if len(items) == 1:
-                windows = items[0][1][None]
-            else:
-                windows = np.stack([window for _req_id, window in items])
-            if jit is None:
-                scores = detector.score_last(windows)
-            else:
-                with nn_jit.use_jit(jit):
-                    scores = detector.score_last(windows)
-        except BaseException as error:  # noqa: BLE001 — forwarded to the parent
-            kind, message = _classify(error), str(error)
-            for req_id, _window in items:
-                conn.send(("score_err", req_id, kind, message))
-            continue
-        for (req_id, _window), score in zip(items, scores):
-            conn.send(("score_ok", req_id, float(score)))
+        for member, score in zip(members, outcome):
+            conn.send(("score_ok", member.req_id, float(score)))
 
 
 def _worker_load(conn, models: dict, segments: dict, key: str, spec: dict) -> None:
@@ -203,7 +184,7 @@ def _worker_load(conn, models: dict, segments: dict, key: str, spec: dict) -> No
         conn.send(("load_err", key, _classify(error), str(error)))
 
 
-def _worker_main(slot: str, conn, jit: bool | None) -> None:
+def _worker_main(slot: str, conn) -> None:
     """Entry point of one worker process (module-level for spawn pickling)."""
     # Ctrl-C goes to the whole foreground process group; shutdown is the
     # parent's job (it sends "stop"), so workers ignore the signal.
@@ -213,6 +194,13 @@ def _worker_main(slot: str, conn, jit: bool | None) -> None:
         pass
     models: dict[str, BaseDetector] = {}
     segments: dict[str, WeightSegment] = {}
+
+    def resident(key: str) -> BaseDetector:
+        detector = models.get(key)
+        if detector is None:
+            raise TransientFault(f"model {key} is not resident in this worker")
+        return detector
+
     stopping = False
     while not stopping:
         try:
@@ -229,7 +217,7 @@ def _worker_main(slot: str, conn, jit: bool | None) -> None:
                 run_end = index
                 while run_end < len(inbox) and inbox[run_end][0] == "score":
                     run_end += 1
-                _worker_score(conn, models, inbox[index:run_end], jit)
+                _worker_score(conn, resident, inbox[index:run_end])
                 index = run_end
                 continue
             if op == "load":
@@ -311,10 +299,6 @@ class ProcessPool:
         Shared :class:`MetricsRegistry`; the pool records request
         counts, latency, sheds, deaths and respawns parent-side (no
         cross-process scrape on the ``/metrics`` path).
-    jit:
-        Worker-side tape-replay policy, mirroring
-        :class:`~repro.serve.scheduler.MicroBatcher`'s ``jit`` knob:
-        ``None`` inherits the worker-process default (on).
     clock:
         Injectable time source for the slot breakers (chaos tests run
         at simulated time).
@@ -328,8 +312,6 @@ class ProcessPool:
         breaker_threshold: int = 3,
         respawn_backoff: float = 5.0,
         metrics: MetricsRegistry | None = None,
-        jit: bool | None = None,
-        ring_replicas: int = 64,
         clock: Callable[[], float] = time.monotonic,
     ):
         if procs < 1:
@@ -341,10 +323,9 @@ class ProcessPool:
         self.procs = procs
         self.max_inflight_per_model = max_inflight_per_model
         self.heartbeat_interval = heartbeat_interval
-        self.jit = None if jit is None else bool(jit)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._ctx = mp.get_context("spawn")
-        self._ring = HashRing(replicas=ring_replicas)
+        self._ring = HashRing()
         # Guards parent-side bookkeeping only (workers/inflight/specs
         # maps); all blocking work — spawn, pipe sends, shared-memory
         # publish — happens outside it.  Order: never taken while
@@ -460,7 +441,7 @@ class ProcessPool:
         _spawn_guard(f"ProcessPool._spawn({slot})")
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_worker_main, args=(slot, child_conn, self.jit),
+            target=_worker_main, args=(slot, child_conn),
             name=f"repro-serve-{slot}", daemon=True,
         )
         process.start()
@@ -473,7 +454,11 @@ class ProcessPool:
         with self._lock:
             aborted = self._closed
             if not aborted:
+                # Register and route in one step, as _on_worker_exit
+                # unroutes: status() must never show a live slot that
+                # the ring does not route to yet.
                 self._workers[slot] = handle
+                self._ring.add_node(slot)
         if aborted:
             # stop() won the race while we were spawning: tear down the
             # orphan worker instead of registering it.
@@ -485,7 +470,6 @@ class ProcessPool:
             process.join(timeout=1.0)
             return
         handle.receiver.start()
-        self._ring.add_node(slot)
         self.metrics.gauge("serve_pool_workers_alive").set(self._alive_count())
 
     def _alive_count(self) -> int:

@@ -184,7 +184,11 @@ def _tfmae_build(hyperparams: dict) -> tuple[BaseDetector, Module]:
     stored.pop("train_jit", None)
     config = TFMAEConfig(**stored)
     detector = TFMAE(config)
-    detector.model = TFMAEModel(n_features=int(hyperparams["n_features"]), config=config)
+    # A fitted model scores in eval mode; a fresh module starts in
+    # training mode, where dropout would perturb every served score.
+    detector.model = TFMAEModel(
+        n_features=int(hyperparams["n_features"]), config=config
+    ).eval()
     detector._fitted = True
     detector.threshold_ = float(hyperparams["threshold"])
     return detector, detector.model

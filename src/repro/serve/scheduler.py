@@ -14,12 +14,11 @@ Flow::
                      │ full? shed load        1. block on first request
                      ▼ (Overloaded)           2. sweep what else is
                                                  queued, up to
-                                                 max_batch_size (waiting
-                                                 up to max_delay for more
-                                                 when it is > 0)
-                                              3. group by (model, shape)
-                                              4. one score_last per group
-                                              5. resolve futures
+                                                 max_batch_size
+                                              3. score_groups: one
+                                                 score_last per
+                                                 (model, shape) group
+                                              4. resolve futures
 
 Guarantees:
 
@@ -30,8 +29,7 @@ Guarantees:
   beyond that ``submit`` raises :class:`Overloaded` immediately
   (load-shedding, never unbounded latency).
 * **Bounded latency** — a lone request on an idle worker is scored at
-  once, in a batch of one (with a positive ``max_delay`` it waits at
-  most that long for company).  Requests that arrive while a batch is
+  once, in a batch of one.  Requests that arrive while a batch is
   scoring coalesce into the next batch, so batching needs no wait.
 * **Graceful shutdown** — ``stop()`` rejects new work, drains everything
   already accepted, and joins the workers.
@@ -44,17 +42,16 @@ import threading
 import time
 from collections import defaultdict
 from concurrent.futures import Future
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..analysis.lockcheck import named_lock
 from ..detector import BaseDetector
-from ..nn import jit as nn_jit
 from .errors import Overloaded, ServeError
 from .metrics import MetricsRegistry
 
-__all__ = ["MicroBatcher", "ScoreRequest"]
+__all__ = ["MicroBatcher", "ScoreRequest", "score_groups"]
 
 #: Queue sentinel telling one worker to exit after the drain.
 _STOP = object()
@@ -72,6 +69,36 @@ class ScoreRequest:
         self.enqueued_at = time.monotonic()
 
 
+def score_groups(
+    items: Iterable, detector_for: Callable[[str], BaseDetector]
+) -> Iterator[tuple[str, list, np.ndarray | BaseException]]:
+    """Score a batch with one ``score_last`` call per (model, shape) group.
+
+    ``items`` are requests exposing ``model_key`` and ``window``; both
+    serving tiers (this scheduler and the process pool's workers) batch
+    through here, so they score identically by construction.  A group
+    of one rides a zero-copy view, a larger one is stacked.  Yields
+    ``(model_key, members, outcome)`` per group, in first-seen order,
+    before scoring the next group, so callers answer each group as soon
+    as it is done.  ``outcome`` holds the group's scores, aligned with
+    ``members``, or the exception that looking up or scoring it raised.
+    """
+    groups: dict[tuple[str, tuple[int, ...]], list] = defaultdict(list)
+    for item in items:
+        groups[(item.model_key, item.window.shape)].append(item)
+    for (model_key, _shape), members in groups.items():
+        try:
+            detector = detector_for(model_key)
+            if len(members) == 1:
+                windows = members[0].window[None]
+            else:
+                windows = np.stack([member.window for member in members])
+            outcome = detector.score_last(windows)
+        except BaseException as error:  # noqa: BLE001 — handed to the caller
+            outcome = error
+        yield model_key, members, outcome
+
+
 class MicroBatcher:
     """Batch concurrent single-window score requests into vector calls.
 
@@ -82,12 +109,10 @@ class MicroBatcher:
         ``"name:version"``) to a fitted detector.  Called once per batch
         group on the worker thread; pair it with
         :class:`~repro.serve.registry.ModelRegistry` for cached loading.
+        Read on every batch, so reassigning it takes effect at once.
     max_batch_size:
-        Most windows scored in one ``score_last`` call.
-    max_delay:
-        Seconds a worker waits for company once it holds the first
-        request.  The default 0 scores whatever is queued at once;
-        a positive value trades that much latency for batch size.
+        Most windows a worker takes from the queue for one batch.  It
+        never waits for company: it scores whatever is queued.
     max_queue:
         Bounded queue capacity; beyond it ``submit`` sheds load.
     workers:
@@ -96,36 +121,24 @@ class MicroBatcher:
     metrics:
         Optional :class:`MetricsRegistry`; the batcher records queue
         depth, batch sizes, shed counts, and per-model scored counts.
-    jit:
-        Tape-replay scoring policy for the worker threads: ``True`` /
-        ``False`` pin it on or off per batch via a thread-local
-        :class:`repro.nn.jit.use_jit` override; ``None`` (default)
-        inherits the ambient :func:`repro.nn.jit.set_jit` process
-        default (on).
     """
 
     def __init__(
         self,
         detector_for: Callable[[str], BaseDetector],
         max_batch_size: int = 32,
-        max_delay: float = 0.0,
         max_queue: int = 256,
         workers: int = 1,
         metrics: MetricsRegistry | None = None,
-        jit: bool | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.detector_for = detector_for
-        self.jit = None if jit is None else bool(jit)
         self.max_batch_size = max_batch_size
-        self.max_delay = max_delay
         self.max_queue = max_queue
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
@@ -227,7 +240,7 @@ class MicroBatcher:
     # worker side
     # ------------------------------------------------------------------
     def _collect_batch(self) -> tuple[list[ScoreRequest], bool]:
-        """Block for the first request, then drain until size/deadline.
+        """Block for the first request, then take what else is queued.
 
         Returns ``(batch, saw_stop)``.
         """
@@ -235,68 +248,37 @@ class MicroBatcher:
         if first is _STOP:
             return [], True
         batch = [first]
-        deadline = time.monotonic() + self.max_delay
         while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                # One last non-blocking sweep: under sustained load the
-                # queue already holds work and waiting again only adds
-                # latency.
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-            else:
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    break
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                break
             if item is _STOP:
                 return batch, True
             batch.append(item)
         return batch, False
 
     def _score_batch(self, batch: list[ScoreRequest]) -> None:
-        self.metrics.gauge("serve_queue_depth").set(self._queue.qsize())
-        self.metrics.histogram("serve_batch_size").observe(len(batch))
-        self.metrics.counter("serve_batches_total").inc()
-        # Group by model and window shape: one vectorized call per group.
-        groups: dict[tuple[str, tuple[int, ...]], list[ScoreRequest]] = defaultdict(list)
+        metrics = self.metrics
+        metrics.gauge("serve_queue_depth").set(self._queue.qsize())
+        metrics.histogram("serve_batch_size").observe(len(batch))
+        metrics.counter("serve_batches_total").inc()
+        wait = metrics.histogram("serve_queue_wait_seconds")
+        now = time.monotonic()
         for request in batch:
-            groups[(request.model_key, request.window.shape)].append(request)
-        for (model_key, _shape), requests in groups.items():
-            now = time.monotonic()
-            for request in requests:
-                self.metrics.histogram("serve_queue_wait_seconds").observe(
-                    now - request.enqueued_at
-                )
-            try:
-                detector = self.detector_for(model_key)
-                # score_last is the shared chunked scorer (see
-                # repro.datasets.windows.batched_window_scores); a batch
-                # of one rides a zero-copy view instead of a stack.
-                if len(requests) == 1:
-                    windows = requests[0].window[None]
-                else:
-                    windows = np.stack([r.window for r in requests])
-                if self.jit is None:
-                    scores = detector.score_last(windows)
-                else:
-                    with nn_jit.use_jit(self.jit):
-                        scores = detector.score_last(windows)
-            except BaseException as error:  # noqa: BLE001 — forwarded to clients
+            wait.observe(now - request.enqueued_at)
+        for model_key, requests, outcome in score_groups(batch, self.detector_for):
+            if isinstance(outcome, BaseException):
                 for request in requests:
-                    if not request.future.set_running_or_notify_cancel():
-                        continue
-                    request.future.set_exception(error)
+                    if request.future.set_running_or_notify_cancel():
+                        request.future.set_exception(outcome)
                 continue
-            self.metrics.counter("serve_windows_scored_total", model=model_key).inc(
+            metrics.counter("serve_windows_scored_total", model=model_key).inc(
                 len(requests)
             )
-            for request, score in zip(requests, scores):
-                if not request.future.set_running_or_notify_cancel():
-                    continue
-                request.future.set_result(float(score))
+            for request, score in zip(requests, outcome):
+                if request.future.set_running_or_notify_cancel():
+                    request.future.set_result(float(score))
 
     def _worker_loop(self) -> None:
         while True:

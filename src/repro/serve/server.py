@@ -264,7 +264,6 @@ class InferenceServer:
         host: str = "127.0.0.1",
         port: int = 8080,
         max_batch_size: int = 32,
-        max_delay: float = 0.0,
         max_queue: int = 256,
         workers: int = 1,
         procs: int = 0,
@@ -276,7 +275,6 @@ class InferenceServer:
         self.batcher = MicroBatcher(
             detector_for=self._detector_for,
             max_batch_size=max_batch_size,
-            max_delay=max_delay,
             max_queue=max_queue,
             workers=workers,
             metrics=self.metrics,

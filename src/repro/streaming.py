@@ -14,7 +14,7 @@ buffer or a silent NaN score); with a
 :class:`~repro.robustness.FaultPolicy` it degrades gracefully instead:
 malformed components are imputed/clamped from the buffer, rejected
 observations produce flagged events, and an optional fallback detector
-takes over when the primary's ``score`` raises, with periodic recovery
+takes over when the primary's scoring raises, with periodic recovery
 probes.  Every intervention is recorded in ``StreamEvent.flags``.
 
 Notes
@@ -136,7 +136,7 @@ class StreamingDetector:
                 use_primary = True
         if use_primary:
             try:
-                score = float(self.detector.score(window)[-1])
+                score = float(self.detector.score_last(window[None])[0])
                 if math.isfinite(score):
                     if self._degraded:
                         flags.append("recovered")
@@ -152,7 +152,7 @@ class StreamingDetector:
                 # Non-finite score with no policy: fail loudly rather than
                 # silently mis-ranking alerts.
                 raise ValueError(
-                    f"{self.detector.name}.score returned a non-finite value for "
+                    f"{self.detector.name}.score_last returned a non-finite value for "
                     "the current window; enable a FaultPolicy to degrade "
                     "gracefully"
                 )
@@ -161,7 +161,7 @@ class StreamingDetector:
                 self._updates_since_degraded = 0
         if policy is not None and policy.fallback is not None:
             flags.append("fallback")
-            score = float(policy.fallback.score(window)[-1])
+            score = float(policy.fallback.score_last(window[None])[0])
             return score, float(policy.fallback.threshold_), flags
         return float("nan"), float("inf"), flags
 
@@ -244,10 +244,10 @@ class StreamingDetector:
 
         Events are identical to calling :meth:`update` per row — same
         indices, same flags, bitwise-equal scores — but all post-warmup
-        windows are scored through the detector's batched
-        :meth:`~repro.detector.BaseDetector.score_last` (one vectorized
-        forward pass per window length) instead of one ``score`` call per
-        observation, which is what makes high-rate streams affordable.
+        windows are scored through one batched
+        :meth:`~repro.detector.BaseDetector.score_last` call per window
+        length instead of one single-window call per observation, which
+        is what makes high-rate streams affordable.
         The same helper backs the ``repro.serve`` micro-batcher, so
         streaming and serving share one batched hot path.
 

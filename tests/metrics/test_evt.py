@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.metrics import pot_threshold
 
 
@@ -47,3 +53,15 @@ class TestPotThreshold:
             pot_threshold(scores, q=0.0)
         with pytest.raises(ValueError):
             pot_threshold(scores, initial_quantile=30.0)
+
+
+def test_serving_import_leaves_scipy_stats_unloaded():
+    """``scipy.stats`` loads only when :func:`pot_threshold` runs, so a
+    serving process (and every pool worker it spawns) starts without it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, repro.serve; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"

@@ -397,6 +397,33 @@ class TestSharedTapes:
         assert np.array_equal(replayed, slots["x"] * 3.0)
 
 
+class TestTrainModeDropout:
+    """Dropout masks are drawn per call, so no tape can replay them: a
+    train-mode model with active dropout scores interpreted even when
+    an eval-mode instance of its config has interned a tape."""
+
+    def test_train_mode_dropout_never_replays_a_shared_tape(self, monkeypatch):
+        config = _shared_config(dropout=0.2)
+        windows = _shared_windows()
+        evaluated = TFMAEModel(1, config).eval()
+        with jit.use_jit(True):
+            eval_scores = evaluated.score_windows(windows)
+        assert _shared_entries(config)
+
+        # Same config and seed: both train-mode instances draw the same
+        # dropout masks, so the interpreted scores are reproducible.
+        reference, compiled = TFMAEModel(1, config), TFMAEModel(1, config)
+        assert reference.training and compiled.training
+        with jit.use_jit(False):
+            interpreted = reference.score_windows(windows)
+        traces = _count_traces(monkeypatch)
+        with jit.use_jit(True):
+            got = compiled.score_windows(windows)
+        assert np.array_equal(got, interpreted)
+        assert not np.array_equal(got, eval_scores)
+        assert traces == [] and len(compiled._tapes) == 0
+
+
 #: Mixed micro-batch sizes: the largest first, then smaller and repeated.
 BATCH_SEQUENCE = (32, 1, 17, 5, 32, 2, 9)
 
@@ -644,7 +671,7 @@ class TestBatchPolymorphic:
             expected = [detector.score_last(window[None])[0] for window in windows]
         rng = np.random.default_rng(0)
         batcher = MicroBatcher(detector_for=lambda key: detector,
-                               max_batch_size=32, jit=True).start()
+                               max_batch_size=32).start()
         try:
             for size in (1, 32, 7, 19, 2, 32, 13, 3):
                 picks = rng.integers(len(windows), size=size)

@@ -52,7 +52,7 @@ def _server(tmp_path, detector, names=("tfmae",), versions=1, **registry_kwargs)
         for _ in range(versions):
             registry.publish(name, detector)
     server = InferenceServer(registry, port=0, max_batch_size=4,
-                             max_delay=0.005, max_queue=8, workers=2)
+                             max_queue=8, workers=2)
     with server:
         yield server
 

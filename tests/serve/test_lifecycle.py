@@ -389,7 +389,7 @@ class TestSwapSafety:
             return loaded
 
         with MicroBatcher(detector_for=detector_for, max_batch_size=8,
-                          max_delay=0.01, workers=2) as batcher:
+                          workers=2) as batcher:
             futures = [batcher.submit("tfmae:v1", window) for window in windows[:12]]
             # Publish and promote a refit candidate while those batches
             # are in flight.

@@ -71,6 +71,26 @@ class TestLoadRoundTrip:
         assert np.array_equal(loaded.score(test), fitted_tfmae.score(test))
         assert np.array_equal(loaded.predict(test), fitted_tfmae.predict(test))
 
+    @pytest.mark.parametrize("use_jit", [False, True])
+    def test_dropout_model_loads_in_eval_mode(self, tmp_path, sine_series, use_jit):
+        """A model trained with dropout serves the fitted model's
+        deterministic scores: the loaded module is in eval mode."""
+        from repro.core import TFMAE, TFMAEConfig
+        from repro.nn import jit
+
+        config = TFMAEConfig(window_size=50, d_model=16, num_layers=1, num_heads=2,
+                             dropout=0.2, anomaly_ratio=5.0, epochs=1, batch_size=8)
+        fitted = TFMAE(config)
+        fitted.fit(sine_series[:400], sine_series[400:500])
+        registry = ModelRegistry(tmp_path)
+        registry.publish("tfmae", fitted)
+        windows = np.stack([sine_series[i : i + 50] for i in range(0, 100, 10)])
+        with jit.use_jit(use_jit):
+            expected = fitted.score_last(windows)
+            for loaded in (registry.load("tfmae")[0], registry.load_fresh("tfmae")[0]):
+                assert not loaded.model.training
+                assert np.array_equal(loaded.score_last(windows), expected)
+
     def test_score_last_round_trips_too(self, tmp_path, fitted_tfmae, sine_series):
         registry = ModelRegistry(tmp_path)
         registry.publish("tfmae", fitted_tfmae)

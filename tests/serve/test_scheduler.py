@@ -16,11 +16,25 @@ def _batcher_for(detector, **kwargs) -> MicroBatcher:
     return MicroBatcher(detector_for=lambda key: detector, **kwargs)
 
 
+def _held_first_batch(detector):
+    """``(detector_for, entered, release)``: the first lookup blocks until
+    ``release`` is set, so work submitted meanwhile queues behind it."""
+    entered, release = threading.Event(), threading.Event()
+
+    def detector_for(key):
+        if not entered.is_set():
+            entered.set()
+            release.wait(timeout=30)
+        return detector
+
+    return detector_for, entered, release
+
+
 class TestEquivalence:
     def test_batched_scores_bitwise_equal_sequential(self, toy_detector, rng):
         windows = [rng.normal(size=(8, 1)) for _ in range(20)]
         expected = np.array([toy_detector.score(w)[-1] for w in windows])
-        with _batcher_for(toy_detector, max_batch_size=8, max_delay=0.01) as batcher:
+        with _batcher_for(toy_detector, max_batch_size=8) as batcher:
             futures = [batcher.submit("m", w) for w in windows]
             got = np.array([f.result(timeout=10) for f in futures])
         assert np.array_equal(expected, got)
@@ -28,7 +42,7 @@ class TestEquivalence:
     def test_tfmae_batched_scores_bitwise_equal_sequential(self, fitted_tfmae, sine_series):
         windows = [sine_series[i : i + 50] for i in range(100, 160, 3)]
         expected = np.array([fitted_tfmae.score(w)[-1] for w in windows])
-        with _batcher_for(fitted_tfmae, max_batch_size=16, max_delay=0.01) as batcher:
+        with _batcher_for(fitted_tfmae, max_batch_size=16) as batcher:
             futures = [batcher.submit("m", w) for w in windows]
             got = np.array([f.result(timeout=60) for f in futures])
         assert np.array_equal(expected, got)
@@ -39,7 +53,7 @@ class TestEquivalence:
         windows = [sine_series[i : i + 50] for i in range(80, 200, 2)]
         expected = np.array([fitted_tfmae.score(w)[-1] for w in windows])
         results: list[float | None] = [None] * len(windows)
-        with _batcher_for(fitted_tfmae, max_batch_size=8, max_delay=0.005,
+        with _batcher_for(fitted_tfmae, max_batch_size=8,
                           workers=3) as batcher:
 
             def client(index: int) -> None:
@@ -56,7 +70,7 @@ class TestEquivalence:
     def test_mixed_window_shapes_are_grouped_not_mixed(self, toy_detector, rng):
         short = rng.normal(size=(4, 1))
         long = rng.normal(size=(9, 1))
-        with _batcher_for(toy_detector, max_batch_size=16, max_delay=0.02) as batcher:
+        with _batcher_for(toy_detector, max_batch_size=16) as batcher:
             futures = [batcher.submit("m", w) for w in (short, long, short, long)]
             got = [f.result(timeout=10) for f in futures]
         assert got[0] == toy_detector.score(short)[-1]
@@ -64,7 +78,7 @@ class TestEquivalence:
 
 
 class TestCoalescing:
-    def test_concurrent_requests_coalesce_into_batches(self, toy_detector, rng):
+    def test_concurrent_requests_coalesce_into_batches(self, rng):
         calls: list[int] = []
 
         class Spy:
@@ -72,28 +86,23 @@ class TestCoalescing:
                 calls.append(len(windows))
                 return np.asarray(windows)[:, -1, 0]
 
-        batcher = MicroBatcher(detector_for=lambda key: Spy(),
-                               max_batch_size=32, max_delay=0.05)
+        detector_for, entered, release = _held_first_batch(Spy())
+        batcher = MicroBatcher(detector_for=detector_for, max_batch_size=32)
         with batcher:
-            futures = [batcher.submit("m", rng.normal(size=(4, 1))) for _ in range(24)]
+            futures = [batcher.submit("m", rng.normal(size=(4, 1)))]
+            assert entered.wait(timeout=10)
+            futures += [batcher.submit("m", rng.normal(size=(4, 1))) for _ in range(23)]
+            release.set()
             for future in futures:
                 future.result(timeout=10)
-        assert sum(calls) == 24
-        assert max(calls) > 1  # coalescing actually happened
-        assert batcher.metrics.histogram("serve_batch_size").summary()["max"] > 1
+        assert calls == [1, 23]  # everything queued behind the first batch coalesced
+        assert batcher.metrics.histogram("serve_batch_size").summary()["max"] == 23
 
     def test_greedy_default_coalesces_work_queued_behind_a_batch(
             self, fitted_tfmae, sine_series):
         """The default batcher waits for nobody, yet windows that queue
         while its worker is busy still reach the model as one batch."""
-        entered, release = threading.Event(), threading.Event()
-
-        def detector_for(key):
-            if not entered.is_set():
-                entered.set()
-                release.wait(timeout=30)
-            return fitted_tfmae
-
+        detector_for, entered, release = _held_first_batch(fitted_tfmae)
         windows = [sine_series[i : i + 50] for i in range(100, 109)]
         with MicroBatcher(detector_for=detector_for) as batcher:
             futures = [batcher.submit("m", windows[0])]
@@ -106,18 +115,17 @@ class TestCoalescing:
         assert np.array_equal(fitted_tfmae.score_last(np.stack(windows)), got)
 
     def test_max_batch_size_respected(self, toy_detector, rng):
-        with _batcher_for(toy_detector, max_batch_size=4, max_delay=0.05) as batcher:
-            futures = [batcher.submit("m", rng.normal(size=(4, 1))) for _ in range(16)]
+        detector_for, entered, release = _held_first_batch(toy_detector)
+        with MicroBatcher(detector_for=detector_for, max_batch_size=4) as batcher:
+            futures = [batcher.submit("m", rng.normal(size=(4, 1)))]
+            assert entered.wait(timeout=10)
+            futures += [batcher.submit("m", rng.normal(size=(4, 1))) for _ in range(15)]
+            release.set()
             for future in futures:
                 future.result(timeout=10)
-        assert batcher.metrics.histogram("serve_batch_size").summary()["max"] <= 4
-
-    def test_lone_request_not_stuck_beyond_max_delay(self, toy_detector, rng):
-        with _batcher_for(toy_detector, max_batch_size=64, max_delay=0.01) as batcher:
-            start = time.monotonic()
-            batcher.score("m", rng.normal(size=(4, 1)), timeout=10)
-            elapsed = time.monotonic() - start
-        assert elapsed < 5.0  # flushed by the delay policy, not the batch filling
+        sizes = batcher.metrics.histogram("serve_batch_size").summary()
+        # 15 windows queued behind the held batch leave in full batches of 4.
+        assert (sizes["count"], sizes["max"]) == (5, 4)
 
 
 class TestBackpressure:
@@ -130,7 +138,7 @@ class TestBackpressure:
                 return np.asarray(windows)[:, -1, 0]
 
         batcher = MicroBatcher(detector_for=lambda key: Slow(),
-                               max_batch_size=1, max_delay=0.0, max_queue=2)
+                               max_batch_size=1, max_queue=2)
         with batcher:
             futures = [batcher.submit("m", rng.normal(size=(4, 1)))]
             # Worker holds one batch; fill the queue, then overflow it.
@@ -149,7 +157,7 @@ class TestBackpressure:
         assert batcher.metrics.counter("serve_requests_shed_total").value >= 1
 
     def test_queue_depth_gauge_tracked(self, toy_detector, rng):
-        with _batcher_for(toy_detector, max_batch_size=8, max_delay=0.0) as batcher:
+        with _batcher_for(toy_detector, max_batch_size=8) as batcher:
             batcher.score("m", rng.normal(size=(4, 1)), timeout=10)
         assert "serve_queue_depth" in batcher.metrics.snapshot()["gauges"]
 
@@ -161,7 +169,7 @@ class TestLifecycle:
             batcher.submit("m", rng.normal(size=(4, 1)))
 
     def test_stop_drains_accepted_work(self, toy_detector, rng):
-        batcher = _batcher_for(toy_detector, max_batch_size=4, max_delay=0.0).start()
+        batcher = _batcher_for(toy_detector, max_batch_size=4).start()
         futures = [batcher.submit("m", rng.normal(size=(4, 1))) for _ in range(12)]
         batcher.stop()
         results = [future.result(timeout=10) for future in futures]
@@ -184,20 +192,19 @@ class TestLifecycle:
                 raise RuntimeError("model exploded")
 
         batcher = MicroBatcher(detector_for=lambda key: Broken(),
-                               max_batch_size=4, max_delay=0.0)
+                               max_batch_size=4)
         with batcher:
             future = batcher.submit("m", rng.normal(size=(4, 1)))
             with pytest.raises(RuntimeError, match="model exploded"):
                 future.result(timeout=10)
 
     def test_invalid_parameters(self, toy_detector):
-        for kwargs in ({"max_batch_size": 0}, {"max_delay": -1.0},
-                       {"max_queue": 0}, {"workers": 0}):
+        for kwargs in ({"max_batch_size": 0}, {"max_queue": 0}, {"workers": 0}):
             with pytest.raises(ValueError):
                 _batcher_for(toy_detector, **kwargs)
 
     def test_shared_metrics_registry(self, toy_detector, rng):
         metrics = MetricsRegistry()
-        with _batcher_for(toy_detector, metrics=metrics, max_delay=0.0) as batcher:
+        with _batcher_for(toy_detector, metrics=metrics) as batcher:
             batcher.score("m", rng.normal(size=(4, 1)), timeout=10)
         assert metrics.counter("serve_batches_total").value >= 1

@@ -51,7 +51,7 @@ def served(tmp_path_factory, fitted_tfmae):
     registry.publish("tfmae", fitted_tfmae)     # v1
     registry.publish("tfmae", fitted_tfmae)     # v2 (same weights, tests "latest")
     server = InferenceServer(registry, port=0, max_batch_size=8,
-                             max_delay=0.005, workers=2)
+                             workers=2)
     with server:
         yield server
 

@@ -31,36 +31,25 @@ class TestParser:
         assert args.registry == "./model-registry"
         assert args.port == 8080
         assert args.max_batch_size == 32
-        assert args.max_delay_ms == 0.0
         assert args.queue_size == 256
         assert args.procs == 0  # thread tier unless --procs asks for the pool
-        assert args.threads is None and args.workers is None  # both default to 2
+        assert args.threads == 2
         assert args.max_inflight == 64
         assert not args.demo
 
-    def test_serve_threads_flag_and_workers_alias(self):
-        from repro.cli import _resolve_serve_threads
-
+    def test_serve_threads_flag(self):
         args = build_parser().parse_args(["serve", "--threads", "4"])
-        assert _resolve_serve_threads(args) == 4
-
-        args = build_parser().parse_args(["serve"])
-        assert _resolve_serve_threads(args) == 2  # default
-
-        args = build_parser().parse_args(["serve", "--workers", "3"])
-        with pytest.warns(DeprecationWarning, match="--workers is deprecated"):
-            assert _resolve_serve_threads(args) == 3
-
-        # An explicit --threads wins over the deprecated alias.
-        args = build_parser().parse_args(["serve", "--workers", "3", "--threads", "5"])
-        with pytest.warns(DeprecationWarning):
-            assert _resolve_serve_threads(args) == 5
+        assert args.threads == 4
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--workers", "3"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--max-delay-ms", "2"])
 
     @pytest.mark.parametrize("argv, message", [
         (["serve", "--procs", "-1"], "--procs must be >= 0"),
         (["serve", "--threads", "0"], "--threads must be >= 1"),
         (["serve", "--threads", "-2"], "--threads must be >= 1"),
-        (["serve", "--workers", "0"], "--workers must be >= 1"),
+        (["serve", "--threads", "0", "--procs", "2"], "--threads must be >= 1"),
         (["serve", "--max-inflight", "0"], "--max-inflight must be >= 1"),
         (["serve", "--max-inflight", "-5"], "--max-inflight must be >= 1"),
     ])
@@ -135,7 +124,7 @@ class TestCommands:
 
         args = build_parser().parse_args(
             ["serve", "--registry", str(tmp_path), "--port", "0",
-             "--max-batch-size", "4", "--workers", "1"]
+             "--max-batch-size", "4", "--threads", "1"]
         )
         server = _build_server(args)
         assert server.batcher.max_batch_size == 4
