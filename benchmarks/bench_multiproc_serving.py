@@ -46,10 +46,13 @@ Three acceptance properties are asserted in-bench:
   segments resident on it.
 
 Environment: ``REPRO_BENCH_POOL_REQUESTS`` (default 160) requests per
-row.  Run with ``OPENBLAS_NUM_THREADS=1``: each worker otherwise starts
-one BLAS thread per core, and two workers on two cores oversubscribe
-them (procs=2 fell to a third of procs=1's throughput that way on a
-2-vCPU host).  The JSON records the setting as ``blas_threads``.
+row.  Pool workers start with one BLAS thread unless the environment
+sets ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``/``MKL_NUM_THREADS``
+(one BLAS thread per core in each of two workers on two cores cut
+procs=2 to a third of procs=1's throughput on a 2-vCPU host).  The
+thread-tier row runs in this process at its own BLAS setting.  The JSON
+records this process's ``OPENBLAS_NUM_THREADS`` as ``blas_threads`` and
+the workers' as ``worker_blas_threads``.
 """
 
 from __future__ import annotations
@@ -267,6 +270,7 @@ def _check_owner_mappings(pool, rss_start: dict, rss_end: dict) -> dict:
 def run_multiproc_bench() -> tuple[str, dict]:
     cores = os.cpu_count() or 1
     blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "default")
+    worker_blas_threads = os.environ.get("OPENBLAS_NUM_THREADS", "1")
     detector, windows = _fit_detector()
     expected = {
         i: float(detector.score_last(window[None])[0])
@@ -309,7 +313,8 @@ def run_multiproc_bench() -> tuple[str, dict]:
     lines = [
         f"Multi-process serving ({REQUESTS} requests/run, median of "
         f"{DRIVES} runs, {CLIENTS_PER_PROC} clients/worker, "
-        f"{len(MODELS)} models, cpu_count={cores}, blas_threads={blas_threads})",
+        f"{len(MODELS)} models, cpu_count={cores}, blas_threads={blas_threads}, "
+        f"worker_blas_threads={worker_blas_threads})",
         header,
         "-" * len(header),
     ]
@@ -341,6 +346,7 @@ def run_multiproc_bench() -> tuple[str, dict]:
     payload = {
         "cpu_count": cores,
         "blas_threads": blas_threads,
+        "worker_blas_threads": worker_blas_threads,
         "regime": "parallel" if cores >= max(PROC_COUNTS) else "cpu_limited",
         "regime_note": (
             "cores >= 4: worker processes score concurrently; throughput "

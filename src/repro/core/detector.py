@@ -114,15 +114,16 @@ class TFMAE(BaseDetector):
     def score_last(self, windows: np.ndarray) -> np.ndarray:
         """Vectorized last-observation scores for a batch of windows.
 
-        One ``score_windows`` forward pass per ``config.batch_size``
-        chunk instead of one full :meth:`score` per window.  Bitwise
-        identical to ``[score(w)[-1] for w in windows]``: for each window
-        the last observation's score always comes from the
-        ``window_size``-length slice ending at that observation (the tail
-        slice when the window is long enough, the front-padded window
-        :func:`~repro.datasets.windows.score_series` builds otherwise),
-        and ``score_windows`` is batch-size invariant because every
-        window flows through the model independently.
+        One :meth:`~repro.core.model.TFMAEModel.score_last_windows`
+        forward pass per ``config.batch_size`` chunk instead of one full
+        :meth:`score` per window.  Bitwise identical to ``[score(w)[-1]
+        for w in windows]``: for each window the last observation's score
+        always comes from the ``window_size``-length slice ending at that
+        observation (the tail slice when the window is long enough, the
+        front-padded window :func:`~repro.datasets.windows.score_series`
+        builds otherwise), ``score_last_windows`` is bitwise the last
+        column of ``score_windows``, and both are batch-size invariant
+        because every window flows through the model independently.
         """
         self._require_fitted()
         assert self.model is not None
@@ -143,6 +144,6 @@ class TFMAE(BaseDetector):
             tails = np.concatenate([pad, windows], axis=1)
         return batched_window_scores(
             tails,
-            lambda chunk: self.model.score_windows(chunk)[:, -1],
+            self.model.score_last_windows,
             batch_size=self.config.batch_size,
         )

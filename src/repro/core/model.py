@@ -50,6 +50,20 @@ _UNSUPPORTED = object()
 _SHARED_TAPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _SHARED_TAPES_LOCK = named_lock("core.model.shared-tapes")
 
+#: Query-row counts the score-last graph may cut its final layers to,
+#: smallest first (see :meth:`TFMAEModel._score_rows`).
+_ROW_CANDIDATES = (2, 4, 8, 16, 32)
+#: The chosen count per ``(config, n_features, (time, features), compute
+#: dtype, fused policy)``, for the life of the process; ``None`` is the
+#: full graph.  Threads racing on a new key each run the check and store
+#: the same answer, so no lock is held across it.
+_SCORE_ROWS: dict = {}
+
+
+def _trailing(x: Tensor, rows: int | None) -> Tensor:
+    """The trailing ``rows`` positions of ``(batch, time, ...)``; all when None."""
+    return x if rows is None else x[:, -rows:]
+
 
 class TemporalBranch(Module):
     """Temporal masking-based autoencoder (paper Fig. 5, right).
@@ -142,8 +156,12 @@ class TemporalBranch(Module):
             slots["t_encode_full"] = self.encoder is not None and num_masked == 0
         return slots
 
-    def graph(self, slots: dict) -> Tensor:
-        """Pure-tensor stage over named input slots (jit-traceable)."""
+    def graph(self, slots: dict, rows: int | None = None) -> Tensor:
+        """Pure-tensor stage over named input slots (jit-traceable).
+
+        With ``rows``, only the trailing ``rows`` positions come out (see
+        :meth:`TFMAEModel.score_last_windows`).
+        """
         projected = self.projection(Tensor(slots["windows"]))  # (B, T, D), Eq. 3
         pe = slots["t_pe"]
 
@@ -168,8 +186,8 @@ class TemporalBranch(Module):
         decoder_input = Tensor.where(slots["t_mask"], masked_value, unmasked_full)
 
         if self.decoder is not None:
-            return self.decoder(decoder_input)
-        return decoder_input
+            return self.decoder(decoder_input, rows)
+        return _trailing(decoder_input, rows)
 
 
 class FrequencyBranch(Module):
@@ -236,8 +254,9 @@ class FrequencyBranch(Module):
             "f_pe": self._positional_encoding(time),
         }
 
-    def graph(self, slots: dict) -> Tensor:
-        """Pure-tensor stage over named input slots (jit-traceable)."""
+    def graph(self, slots: dict, rows: int | None = None) -> Tensor:
+        """Pure-tensor stage over named input slots (jit-traceable); with
+        ``rows``, only the trailing ``rows`` positions come out."""
         # Eq. 9-10: replaced spectrum inverted to the time domain, with the
         # learnable token entering through the linear basis decomposition.
         masked_series = (
@@ -248,8 +267,8 @@ class FrequencyBranch(Module):
         representation = self.projection(masked_series)
         representation = representation + Tensor(slots["f_pe"])  # Eq. 11
         if self.decoder is not None:
-            return self.decoder(representation)
-        return representation
+            return self.decoder(representation, rows)
+        return _trailing(representation, rows)
 
 
 class TFMAEModel(Module):
@@ -280,11 +299,12 @@ class TFMAEModel(Module):
             self.frequency = None
 
         # This instance's scoring tapes keyed ((time, features), compute
-        # dtype, fused policy): the batch size is not in the key, since a
-        # tape replays at every batch size (one a reshape pinned to its
-        # traced size is retraced in place at another).  The tapes
-        # themselves are interned in _SHARED_TAPES and shared with every
-        # instance of the same config; this LRU holds them alive.
+        # dtype, fused policy, score-last rows or None): the batch size is
+        # not in the key, since a tape replays at every batch size (one a
+        # reshape pinned to its traced size is retraced in place at
+        # another).  The tapes themselves are interned in _SHARED_TAPES
+        # and shared with every instance of the same config; this LRU
+        # holds them alive.
         # _UNSUPPORTED negative-caches untraceable keys.  An LRU of
         # config.jit_cache_size entries (REPRO_JIT_CACHE env overrides the
         # default); evictions are counted for the benches.
@@ -393,17 +413,41 @@ class TFMAEModel(Module):
         fused-policy) key in the process.  The window shape is ``(time,
         features)``: one tape replays at every batch size, the weights
         are tape inputs so instances of one config share it, and replay
-        output is bitwise-identical to the interpreted graph.  A model in
-        training mode with active dropout always runs interpreted: its
-        random masks cannot be traced, and the tape key does not see
-        the mode.
+        output is bitwise-identical to the interpreted graph.  A tape is
+        traced on the call's first window and replayed over the whole
+        batch (see :meth:`_trace`).  A model in training mode with
+        active dropout always runs interpreted: its random masks cannot
+        be traced, and the tape key does not see the mode.
         """
-        if jit.jit_enabled() and not (self.training and self.config.dropout > 0):
-            return self._jit_score(windows)
+        return self._score(windows, last=False)
+
+    def score_last_windows(self, windows: np.ndarray) -> np.ndarray:
+        """Last-observation score of each window, shape ``(batch,)``.
+
+        Bitwise ``score_windows(windows)[:, -1]``, from less work: the
+        final decoder layer of each branch computes only the trailing
+        ``rows`` query rows (its keys and values still see the whole
+        window), since nothing after it reads the others.  ``rows`` is
+        chosen once per process and scoring key by :meth:`_score_rows`;
+        it joins the tape key, so a score-last tape and a full one never
+        stand in for each other.  Interpreted and tape replay run the
+        same graph, so they agree bitwise as :meth:`score_windows` does.
+        """
+        return self._score(windows, last=True)[:, -1]
+
+    def _score(self, windows: np.ndarray, last: bool) -> np.ndarray:
         self._validate_windows(windows)
+        key = (windows.shape[1:], self.compute_dtype, fused.fused_enabled())
+        # Dropout draws random masks per forward: a train-mode model with
+        # dropout neither replays a tape nor row-checks (the check would
+        # consume its RNG), so it scores the full graph interpreted.
+        dropout = self.training and self.config.dropout > 0
         with nn.no_grad(), nn.default_dtype(self.compute_dtype):
-            score = self._score_graph(self._prelude(windows))
-            return self._score_post(score.data, interpreted=True)
+            slots = self._prelude(windows)
+            rows = self._score_rows(slots, key) if last and not dropout else None
+            if jit.jit_enabled() and not dropout:
+                return self._jit_score(slots, key + (rows,))
+            return self._interpreted(slots, rows)
 
     # -- trace-compiled scoring (see repro.nn.jit) ----------------------
     def _prelude(self, windows: np.ndarray) -> dict:
@@ -415,20 +459,66 @@ class TFMAEModel(Module):
             slots.update(self.frequency.prelude(windows))
         return slots
 
-    def _branches(self, slots: dict) -> tuple[Tensor | None, Tensor | None]:
+    def _one_row(self, slots: dict) -> dict:
+        """``slots`` cut to the first window: batch slots sliced, the rest shared."""
+        return {
+            name: value[:1] if name in self._batch_slots else value
+            for name, value in slots.items()
+        }
+
+    def _branches(self, slots: dict, rows: int | None = None
+                  ) -> tuple[Tensor | None, Tensor | None]:
         """Both branch representations over prelude slots (None if ablated)."""
-        p = self.temporal.graph(slots) if self.temporal is not None else None
-        f = self.frequency.graph(slots) if self.frequency is not None else None
+        p = self.temporal.graph(slots, rows) if self.temporal is not None else None
+        f = self.frequency.graph(slots, rows) if self.frequency is not None else None
         return p, f
 
-    def _score_graph(self, slots: dict) -> Tensor:
-        """Pure-tensor scoring graph over prelude slots (jit-traceable)."""
-        p, f = self._branches(slots)
+    def _score_graph(self, slots: dict, rows: int | None = None) -> Tensor:
+        """Pure-tensor scoring graph over prelude slots (jit-traceable);
+        with ``rows``, it scores the trailing ``rows`` positions only."""
+        return self._score_head(slots, *self._branches(slots, rows), rows)
+
+    def _interpreted(self, slots: dict, rows: int | None) -> np.ndarray:
+        return self._score_post(self._score_graph(slots, rows).data, interpreted=True)
+
+    def _score_head(self, slots: dict, p: Tensor | None, f: Tensor | None,
+                    rows: int | None) -> Tensor:
         if self._dual:
             return F.symmetric_kl(p, f, reduce=False)
         representation = p if p is not None else f
         reconstruction = self.reconstruction_head(representation)
-        return (reconstruction - Tensor(slots["windows"])) ** 2
+        return (reconstruction - _trailing(Tensor(slots["windows"]), rows)) ** 2
+
+    def _score_rows(self, slots: dict, key) -> int | None:
+        """Query rows the score-last graph computes in the final layers.
+
+        The smallest of :data:`_ROW_CANDIDATES` below the window length
+        whose last-row branch representations and score, on the call's
+        first window, are bitwise those of the full graph; ``None`` (the
+        full graph) if none is.  A row-sliced final layer runs its
+        matmuls over fewer rows, and BLAS may pick another kernel, with
+        another summation order, for those shapes.  The check assumes
+        BLAS picks its kernel from the shapes alone, never from the
+        values or the batch, so one window settles it for the process.
+        """
+        rows_key = (self.config, self.n_features) + key
+        if rows_key not in _SCORE_ROWS:
+            time, _ = key[0]
+            one = self._one_row(slots)
+            full = self._last_rows(one, None)
+            _SCORE_ROWS[rows_key] = next(
+                (rows for rows in _ROW_CANDIDATES if rows < time and all(
+                    np.array_equal(a, b) for a, b in zip(self._last_rows(one, rows), full)
+                )),
+                None,
+            )
+        return _SCORE_ROWS[rows_key]
+
+    def _last_rows(self, slots: dict, rows: int | None) -> list[np.ndarray]:
+        """The last position's branch representations and score."""
+        p, f = self._branches(slots, rows)
+        score = self._score_post(self._score_head(slots, p, f, rows).data, interpreted=True)
+        return [t.data[:, -1] for t in (p, f) if t is not None] + [score[:, -1]]
 
     def _score_post(self, data: np.ndarray, interpreted: bool = False) -> np.ndarray:
         """Final numpy stage: float64 score contract, owned output.
@@ -453,41 +543,53 @@ class TFMAEModel(Module):
         with contextlib.suppress(KeyError):
             self._tapes.move_to_end(key)
 
-    def _jit_score(self, windows: np.ndarray) -> np.ndarray:
-        self._validate_windows(windows)
-        key = (windows.shape[1:], self.compute_dtype, fused.fused_enabled())
-        batch = len(windows)
-        with nn.no_grad(), nn.default_dtype(self.compute_dtype):
-            slots = self._prelude(windows)
-            tape = self._tapes.get(key)
-            if tape is _UNSUPPORTED:
-                self._touch_tape(key)
-                score = self._score_graph(slots)
-                return self._score_post(score.data, interpreted=True)
-            slots.update((name, param.data) for name, param in self._param_slots)
-            if tape is not None and tape.replays_at(batch):
-                self._touch_tape(key)
-                return self._score_post(tape.replay(slots))
+    def _jit_score(self, slots: dict, key) -> np.ndarray:
+        """Score prelude ``slots`` from the tape of ``key`` (whose last
+        entry is the score-last row count), tracing it if need be."""
+        rows = key[-1]
+        batch = len(slots["windows"])
+        tape = self._tapes.get(key)
+        if tape is _UNSUPPORTED:
+            self._touch_tape(key)
+            return self._interpreted(slots, rows)
+        slots.update((name, param.data) for name, param in self._param_slots)
+        if tape is None or not tape.replays_at(batch):
             shared_key = (self.config, self.n_features) + key
             with _SHARED_TAPES_LOCK:
                 tape = _SHARED_TAPES.get(shared_key)
-            if tape is not None and tape.replays_at(batch):
-                scores = self._score_post(tape.replay(slots))
-            else:
-                out, tape = jit.trace(
-                    lambda: self._score_graph(slots), slots,
-                    batch_slots=self._batch_slots,
-                )
+            if tape is None or not tape.replays_at(batch):
+                tape = self._trace(slots, rows, batch)
                 if tape is not None:
                     # Another thread may have interned a tape for this
                     # key meanwhile; either one is correct.
                     with _SHARED_TAPES_LOCK:
                         _SHARED_TAPES[shared_key] = tape
-                scores = self._score_post(out.data, interpreted=True)
             # A tape pinned to another batch size is replaced in place.
             self._tapes[key] = tape if tape is not None else _UNSUPPORTED
             self._touch_tape(key)
             while len(self._tapes) > self.config.jit_cache_size:
                 self._tapes.popitem(last=False)
                 self.jit_evictions += 1
-            return scores
+            if tape is None:
+                return self._interpreted(slots, rows)
+        else:
+            self._touch_tape(key)
+        return self._score_post(tape.replay(slots))
+
+    def _trace(self, slots: dict, rows: int | None, batch: int) -> jit.Tape | None:
+        """Compile the scoring graph from the first window of ``slots``.
+
+        A tape replays at every batch size, so one row is enough, and a
+        trace costs a one-row interpreted forward whatever the batch.  A
+        unit dimension in a reshape pins the one-row tape to batch 1
+        (:meth:`repro.nn.jit.Tape.replays_at`); the whole batch is then
+        traced instead, and that tape is retraced in place at another
+        size when it pins too.  ``None``: the graph is not traceable.
+        """
+        one = self._one_row(slots)
+        _, tape = jit.trace(lambda: self._score_graph(one, rows), one,
+                            batch_slots=self._batch_slots)
+        if tape is not None and not tape.replays_at(batch):
+            _, tape = jit.trace(lambda: self._score_graph(slots, rows), slots,
+                                batch_slots=self._batch_slots)
+        return tape

@@ -52,9 +52,12 @@ class MultiHeadSelfAttention(Module):
         self._last_attention: np.ndarray | None = None
         self._last_attention_tensor: Tensor | None = None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, rows: int | None = None) -> Tensor:
+        """Attend from the trailing ``rows`` query positions (all when
+        ``None``) over every key/value position of ``x``."""
         batch, time, dim = x.shape
-        q = self._split_heads(self.q_proj(x), batch, time)
+        query = x if rows is None else x[:, -rows:]
+        q = self._split_heads(self.q_proj(query), batch, query.shape[1])
         k = self._split_heads(self.k_proj(x), batch, time)
         v = self._split_heads(self.v_proj(x), batch, time)
 
@@ -79,9 +82,9 @@ class MultiHeadSelfAttention(Module):
             self._last_attention = weights.data  # exposed for analysis/tests
             self._last_attention_tensor = weights if self.keep_attention_graph else None
             weights = self.attn_dropout(weights)
-            context = weights @ v  # (batch, heads, time, head_dim)
+            context = weights @ v  # (batch, heads, rows, head_dim)
 
-        merged = context.swapaxes(1, 2).reshape(batch, time, dim)
+        merged = context.swapaxes(1, 2).reshape(batch, query.shape[1], dim)
         return self.out_proj(merged)
 
     def _split_heads(self, x: Tensor, batch: int, time: int) -> Tensor:

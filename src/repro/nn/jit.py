@@ -98,6 +98,7 @@ __all__ = [
     "set_jit",
     "use_jit",
     "trace",
+    "trace_count",
     "Tape",
     "TraceUnsupported",
 ]
@@ -115,6 +116,18 @@ jit_enabled = _JIT.get
 set_jit = _JIT.set
 #: Thread-local tape-replay override, usable as a context manager.
 use_jit = _JIT.override
+
+
+#: :func:`trace` calls so far in this process.  A trace holds the GIL
+#: for a whole interpreted forward plus codegen, so on a serving process
+#: with warm traffic the count should stand still.
+_TRACES = 0
+_TRACES_LOCK = threading.Lock()
+
+
+def trace_count() -> int:
+    """How many times :func:`trace` has run in this process."""
+    return _TRACES
 
 
 class TraceUnsupported(RuntimeError):
@@ -254,6 +267,9 @@ def trace(fn, slots: dict, batch_slots):
     replays at every batch size (see the module docstring).  A call that
     provides none of them does not compile.
     """
+    global _TRACES
+    with _TRACES_LOCK:
+        _TRACES += 1
     builder = _TapeBuilder(slots, batch_slots)
     with op_hook(builder):
         out = fn()

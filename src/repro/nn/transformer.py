@@ -76,13 +76,17 @@ class TransformerLayer(Module):
         )
         self.dropout = Dropout(dropout, rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, rows: int | None = None) -> Tensor:
+        """Output rows for the trailing ``rows`` positions (all when
+        ``None``); keys and values still see every position of ``x``."""
         # Residual adds go through the fused dropout+residual kernel (one
         # graph node instead of mask-multiply + add); `self.dropout` keeps
         # owning the probability/RNG/mode state.
         drop = self.dropout
+        residual = x if rows is None else x[:, -rows:]
         attended = self.norm1(
-            F.dropout_residual(self.attention(x), x, drop.p, drop.training, rng=drop.rng)
+            F.dropout_residual(self.attention(x, rows), residual, drop.p, drop.training,
+                               rng=drop.rng)
         )
         return self.norm2(
             F.dropout_residual(self.ffn(attended), attended, drop.p, drop.training, rng=drop.rng)
@@ -109,9 +113,13 @@ class TransformerStack(Module):
             setattr(self, name, TransformerLayer(dim, num_heads, rng, ffn_dim=ffn_dim, dropout=dropout))
             self._names.append(name)
 
-    def forward(self, x: Tensor) -> Tensor:
-        for name in self._names:
-            x = getattr(self, name)(x)
+    def forward(self, x: Tensor, rows: int | None = None) -> Tensor:
+        """Run every layer; with ``rows``, the final layer computes only
+        the trailing ``rows`` query rows, the only ones a later
+        consumer of the last position reads."""
+        final = len(self._names) - 1
+        for index, name in enumerate(self._names):
+            x = getattr(self, name)(x, rows if index == final else None)
         return x
 
     def __len__(self) -> int:

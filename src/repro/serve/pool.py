@@ -26,6 +26,9 @@ module shards the scoring work across **worker processes**:
   :class:`~repro.serve.breaker.CircuitBreaker` so a crash-looping
   worker backs off instead of thrashing — one shard degrades, never the
   server.
+* **One BLAS thread per worker.**  Workers start with the BLAS
+  thread-count variables at 1 unless the environment sets them, so
+  ``procs`` workers do not each spin one BLAS thread per core.
 
 Equivalence: workers batch through the thread scheduler's own
 :func:`~repro.serve.scheduler.score_groups`, on bit-identical weights
@@ -52,6 +55,7 @@ the thread scheduler does, now per shard.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
 import os
 import signal
@@ -128,6 +132,35 @@ def _spawn_guard(context: str) -> None:
 
     if lockcheck.installed():
         lockcheck.check_spawn(context)
+
+
+#: BLAS thread-count variables a worker starts with set to 1, unless the
+#: environment already sets them.  Every worker is one scoring thread,
+#: and BLAS's default of one thread per core makes ``procs`` workers
+#: contend for the cores.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: Serializes the environment edit around each worker start; a plain
+#: lock (no spawn happens under a tracked lock), held by no other code.
+_BLAS_ENV_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Set the unset :data:`_BLAS_THREAD_VARS` to 1 for a worker start.
+
+    A spawned child inherits this process's environment and reads the
+    variables when it loads BLAS; this process's BLAS loaded long ago,
+    so only the child sees them.  They are removed again on exit.
+    """
+    with _BLAS_ENV_LOCK:
+        added = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
+        for name in added:
+            os.environ[name] = "1"
+        try:
+            yield
+        finally:
+            for name in added:
+                del os.environ[name]
 
 
 def _read_proc_rss() -> dict[str, int]:
@@ -444,7 +477,8 @@ class ProcessPool:
             target=_worker_main, args=(slot, child_conn),
             name=f"repro-serve-{slot}", daemon=True,
         )
-        process.start()
+        with _single_threaded_blas():
+            process.start()
         child_conn.close()
         handle = _WorkerHandle(slot, process, parent_conn)
         handle.receiver = threading.Thread(

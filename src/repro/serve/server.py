@@ -25,7 +25,9 @@ Endpoints
     state, quarantined artifacts, degraded flag, queue depth.
 ``GET /metrics``
     JSON snapshot of the :class:`~repro.serve.metrics.MetricsRegistry`
-    (counters, gauges, latency histograms with p50/p95/p99).
+    (counters, gauges, latency histograms with p50/p95/p99), plus
+    ``jit_traces_total``: the scoring-tape traces this process has run.
+    Pool-tier workers trace in their own processes and are not counted.
 ``GET /models``
     Registry listing: every model name with its versions.
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -46,6 +49,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from ..analysis.lockcheck import named_lock
+from ..nn import jit
 from .errors import (
     CircuitOpen,
     ModelNotFound,
@@ -132,7 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/healthz":
             self._finish("/healthz", started, 200, self.app.health())
         elif path == "/metrics":
-            self._finish("/metrics", started, 200, self.app.metrics.snapshot())
+            self._finish("/metrics", started, 200, self.app.metrics_snapshot())
         elif path == "/models":
             self._finish("/models", started, 200, self.app.list_models())
         else:
@@ -335,6 +339,13 @@ class InferenceServer:
             body["threshold"] = threshold
         return body
 
+    def metrics_snapshot(self) -> dict:
+        """The ``/metrics`` body: the registry's snapshot plus this
+        process's scoring-tape trace count."""
+        snapshot = self.metrics.snapshot()
+        snapshot["counters"]["jit_traces_total"] = float(jit.trace_count())
+        return snapshot
+
     def health(self) -> dict:
         """Liveness plus per-model serving state.
 
@@ -434,18 +445,38 @@ class InferenceServer:
         self.stop()
 
     def serve_forever(self) -> None:
-        """Foreground serve (the CLI path); Ctrl-C stops gracefully."""
+        """Foreground serve (the CLI path); Ctrl-C or SIGTERM stops
+        gracefully: in-flight requests drain, then the scoring tier
+        stops (pool workers exit and their shared memory is released)."""
         self._start_scoring_tier()
         host, port = self._httpd.server_address[:2]
         tier = (f"{self.pool.procs} worker processes" if self.pool is not None
                 else f"{len(self.batcher._workers)} worker threads")
         print(f"repro.serve listening on http://{host}:{port} "
-              f"({tier}; models: {', '.join(self.registry.models()) or 'none'})")
+              f"({tier}; models: {', '.join(self.registry.models()) or 'none'})",
+              flush=True)
+        # SIGTERM (a service manager's stop) takes the Ctrl-C path.  Only
+        # the main thread may install a handler.
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main:
+            previous = signal.signal(signal.SIGTERM, _interrupt)
         try:
             self._httpd.serve_forever(poll_interval=0.2)
         except KeyboardInterrupt:
-            print("\nshutting down (draining in-flight requests)...")
+            print("\nshutting down (draining in-flight requests)...", flush=True)
         finally:
+            if on_main:
+                # A second signal must not cut the drain short.
+                signal.signal(signal.SIGTERM, signal.SIG_IGN)
             self._drain_http()
             self._stop_scoring_tier()
             self._httpd.server_close()
+            if on_main:
+                signal.signal(signal.SIGTERM,
+                              signal.SIG_DFL if previous is None else previous)
+            print("repro.serve stopped", flush=True)
+
+
+def _interrupt(signum, frame) -> None:
+    """SIGTERM handler: stop :meth:`InferenceServer.serve_forever` as Ctrl-C does."""
+    raise KeyboardInterrupt

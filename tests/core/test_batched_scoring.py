@@ -98,6 +98,25 @@ class TestBatchedEqualsLoop:
         assert np.array_equal(batched, sequential)
 
 
+class TestScoreLastRows:
+    """``score_last`` runs the score-last graph (final layers cut to the
+    trailing rows) chunk by chunk; it stays bitwise the last column of
+    the full graph on one unchunked call, interpreted or replayed."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, 32])
+    def test_score_last_is_the_full_graphs_last_column(self, fitted, batch):
+        from repro.nn import jit
+
+        rng = np.random.default_rng(10 + batch)
+        windows = np.stack(
+            [_sine_series(rng, fitted.config.window_size) for _ in range(batch)]
+        )
+        full = fitted.model.score_windows(windows)[:, -1]
+        for enabled in (False, True):
+            with jit.use_jit(enabled):
+                assert np.array_equal(fitted.score_last(windows), full), enabled
+
+
 class TestChunkBufferReuse:
     """Regression tests for the preallocated-output chunking scheme."""
 

@@ -192,8 +192,8 @@ class TestGuards:
 
 class TestTapeCache:
     def test_keys_specialize_shape_dtype_fused(self):
-        # Batch 3 matches no dimension of this model's reshapes (a batch
-        # of 2 would equal num_heads and pin the tape to batch 2).
+        # The batch size is not in the key: the tape is traced on one
+        # row and replays at every batch size.
         detector = _fitted("default", "float64")
         model = detector.model
         model._tapes.clear()
@@ -262,6 +262,11 @@ def _shared_windows() -> np.ndarray:
     rng = np.random.default_rng(0)
     size = _shared_config().window_size
     return np.stack([_sine_series(rng, size) for _ in range(3)])
+
+
+def _shared_batch(config: TFMAEConfig, batch: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.stack([_sine_series(rng, config.window_size) for _ in range(batch)])
 
 
 def _shared_entries(config: TFMAEConfig) -> list:
@@ -560,25 +565,55 @@ class TestBatchPolymorphic:
             _, tape = jit.trace(lambda: graph(slots), slots, batch_slots=("x",))
         assert tape is None
 
-    def test_pinned_tape_is_retraced_in_place(self):
-        """A batch equal to num_heads pins the model's tape; the next
-        call at another batch size replaces it without an eviction."""
-        detector = _fitted("default", "float64")
-        model = detector.model
-        model._tapes.clear()
-        evictions = model.jit_evictions
-        heads = detector.config.num_heads
-        for seed, batch in enumerate((heads, heads, 5, heads, 11)):
-            windows = _batch_windows(detector, batch, seed)
+    def test_batch_equal_to_num_heads_no_longer_pins(self):
+        """A reshape target of ``(B, T, heads, head_dim)`` traced at a
+        batch equal to num_heads could not tell the batch from the heads
+        by value.  The tape is traced on one row instead, so it replays
+        at that batch and every other: one trace, the same tape
+        throughout, no eviction."""
+        config = _shared_config(seed=41)
+        model = TFMAEModel(1, config)
+        heads = config.num_heads
+        traces = jit.trace_count()
+        tape = None
+        for seed, batch in enumerate((heads, heads, 5, heads, 11, 2 * heads)):
+            windows = _shared_batch(config, batch, seed)
             with jit.use_jit(False):
                 interpreted = model.score_windows(windows)
             with jit.use_jit(True):
-                assert np.array_equal(interpreted, model.score_windows(windows))
+                assert np.array_equal(interpreted, model.score_windows(windows)), batch
+            (current,) = model._tapes.values()
+            assert tape is None or current is tape
+            tape = current
+        assert jit.trace_count() - traces == 1
+        assert all(tape.replays_at(batch) for batch in (1, heads, 5, 32))
+        assert model.jit_evictions == 0
+
+    def test_pinned_tape_is_retraced_in_place(self, monkeypatch):
+        """With head_dim 1, a one-row trace's ``(1, T, heads, 1)``
+        reshape pins it to batch 1, so the whole batch is traced
+        instead; a batch equal to num_heads pins that tape too, and the
+        next call at another size replaces it in place."""
+        config = _shared_config(seed=43, num_heads=8)
+        assert config.d_model // config.num_heads == 1
+        model = TFMAEModel(1, config)
+        heads = config.num_heads
+        traces = _count_traces(monkeypatch)
+        for seed, batch in enumerate((heads, heads, 5, heads, 11)):
+            windows = _shared_batch(config, batch, seed)
+            with jit.use_jit(False):
+                interpreted = model.score_windows(windows)
+            with jit.use_jit(True):
+                assert np.array_equal(interpreted, model.score_windows(windows)), batch
             (tape,) = model._tapes.values()
             if seed == 0:
                 assert not tape.replays_at(5)
+                # The one-row tape pinned, then the whole batch traced.
+                assert [len(call[1]["windows"]) for call in traces] == [1, heads]
         assert tape.replays_at(heads) and tape.replays_at(32)
-        assert model.jit_evictions == evictions
+        # Traced at 8 (pinned), retraced at 5 (one row, then whole).
+        assert [len(call[1]["windows"]) for call in traces] == [1, heads, 1, 5]
+        assert model.jit_evictions == 0
 
     @pytest.mark.parametrize("copies", [False, True], ids=["view", "copy"])
     def test_reshape_keeps_its_parent_buffer_live(self, copies):
@@ -618,18 +653,24 @@ class TestBatchPolymorphic:
         assert tape is None
 
     def test_frame_grows_only_for_larger_batches(self):
-        detector = _fitted("default", "float64")
-        model = detector.model
-        model._tapes.clear()
+        """The first call traces one row and replays its whole batch, so
+        the frame is sized for that batch at once; a smaller batch then
+        replays through prefix views of the same buffers, and only a
+        larger one reallocates."""
+        config = _shared_config(seed=71)
+        model = TFMAEModel(1, config)  # a tape no other test has replayed
         with jit.use_jit(True):
-            model.score_windows(_batch_windows(detector, 3, 0))  # trace
+            model.score_windows(_shared_batch(config, 3, 0))  # trace
             tape = next(iter(model._tapes.values()))
-            model.score_windows(_batch_windows(detector, 2, 1))
-            assert tape._tls.rows == 2
-            model.score_windows(_batch_windows(detector, 5, 2))
+            assert tape._tls.rows == 3
+            frame = list(tape._tls.frame)
+            model.score_windows(_shared_batch(config, 2, 1))
+            assert tape._tls.rows == 3  # a smaller batch reuses the frame
+            assert all(now is then for now, then in zip(tape._tls.frame, frame))
+            model.score_windows(_shared_batch(config, 5, 2))
             assert tape._tls.rows == 5  # grew for the larger batch
             for seed, batch in enumerate(BATCH_SEQUENCE):
-                model.score_windows(_batch_windows(detector, batch, seed))
+                model.score_windows(_shared_batch(config, batch, seed))
                 if batch == max(BATCH_SEQUENCE) and seed == 0:
                     frame = list(tape._tls.frame)
             assert tape._tls.rows == max(BATCH_SEQUENCE)
@@ -684,26 +725,34 @@ class TestBatchPolymorphic:
 
 class TestFallback:
     def test_unsupported_op_falls_back_and_negative_caches(self, monkeypatch):
-        detector = _fitted("default", "float64")
-        model = detector.model
-        model._tapes.clear()
-        windows = _windows(detector)
+        """An untraceable graph scores interpreted and is negative-cached:
+        one failed trace, then no more.  Once the op is replayable again,
+        a fresh cache traces and compiles."""
+        config = _shared_config(seed=47)
+        model = TFMAEModel(1, config)  # no other instance holds its tapes
+        windows = _shared_windows()
         with jit.use_jit(False):
             interpreted = model.score_windows(windows)
 
         monkeypatch.delitem(jit._COMPILERS, "matmul")
+        traces = _count_traces(monkeypatch)
         with jit.use_jit(True):
             first = model.score_windows(windows)
             assert list(model._tapes.values()) == [_UNSUPPORTED]
             second = model.score_windows(windows)  # negative-cache path
+        assert len(traces) == 1
+        assert _shared_entries(config) == []
         assert np.array_equal(interpreted, first)
         assert np.array_equal(interpreted, second)
 
         monkeypatch.undo()
         model._tapes.clear()
+        traces = _count_traces(monkeypatch)
         with jit.use_jit(True):
             third = model.score_windows(windows)
             assert all(t is not _UNSUPPORTED for t in model._tapes.values())
+        assert len(traces) == 1
+        assert len(_shared_entries(config)) == 1
         assert np.array_equal(interpreted, third)
 
 
@@ -787,3 +836,141 @@ class TestJitThreadLocal:
         self._run_both(lambda: worker("a"), lambda: worker("b"))
         assert np.array_equal(results["a"], expected)
         assert np.array_equal(results["b"], expected)
+
+
+#: The perfbench model shape (``perfbench/harness.py``) and the paper's
+#: defaults on a 38-feature series, with the score-last row counts a
+#: bitwise check picks for them.
+PERFBENCH_SHAPE = dict(window_size=100, d_model=32, num_layers=2, num_heads=4)
+SHAPES = {
+    "perfbench": (PERFBENCH_SHAPE, 1, 2),
+    "paper": ({}, 38, 16),
+}
+
+
+def _model(shape: str, dtype: str = "float64", seed: int = 0) -> TFMAEModel:
+    overrides, features, _ = SHAPES[shape]
+    config = TFMAEConfig(**overrides, compute_dtype=dtype, seed=seed)
+    return TFMAEModel(features, config).eval()
+
+
+def _random_windows(model: TFMAEModel, batch: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(batch, model.config.window_size, model.n_features))
+
+
+def _rows_of(model: TFMAEModel) -> int | None:
+    """The score-last row count chosen for ``model``'s float scoring key."""
+    from repro.core.model import _SCORE_ROWS
+
+    key = (model.config, model.n_features,
+           (model.config.window_size, model.n_features),
+           model.compute_dtype, fused.fused_enabled())
+    return _SCORE_ROWS[key]
+
+
+class TestScoreLastRows:
+    """``score_last_windows`` cuts each branch's final layer to the
+    trailing ``rows`` query rows and stays bitwise the last column of
+    ``score_windows``."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_rows_at_perfbench_and_paper_shapes(self, shape, dtype):
+        for seed in range(3):
+            model = _model(shape, dtype, seed=seed)
+            model.score_last_windows(_random_windows(model, 1, seed))
+            assert _rows_of(model) == SHAPES[shape][2], seed
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_score_last_is_bitwise_the_last_column(self, shape, dtype):
+        model = _model(shape, dtype, seed=5)
+        for batch in (1, 2, 5, 32):
+            windows = _random_windows(model, batch, batch)
+            with jit.use_jit(False):
+                full = model.score_windows(windows)[:, -1]
+                interpreted = model.score_last_windows(windows)
+            with jit.use_jit(True):
+                compiled = [model.score_last_windows(windows) for _ in range(2)]
+            assert interpreted.shape == (batch,)
+            assert np.array_equal(interpreted, full), batch
+            for result in compiled:
+                assert np.array_equal(result, full), batch
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_ablations_score_last_bitwise(self, variant):
+        detector = _fitted(variant, "float64")
+        windows = _batch_windows(detector, 6, 3)
+        full = detector.model.score_windows(windows)[:, -1]
+        for enabled in (False, True):
+            with jit.use_jit(enabled):
+                assert np.array_equal(detector.model.score_last_windows(windows), full)
+
+    def test_score_and_score_last_never_replay_each_others_tape(self, monkeypatch):
+        """``rows`` is in the tape key: each graph traces its own tape, on
+        one instance and across instances of one config."""
+        config = TFMAEConfig(**PERFBENCH_SHAPE, seed=53)
+        first, second = TFMAEModel(1, config).eval(), TFMAEModel(1, config).eval()
+        windows = _random_windows(first, 3, 0)
+        traces = _count_traces(monkeypatch)
+        with jit.use_jit(True):
+            first.score_last_windows(windows)
+            second.score_windows(windows)  # must not replay first's tape
+            first.score_windows(windows)
+            second.score_last_windows(windows)
+        assert len(traces) == 2
+        rows = _rows_of(first)
+        assert rows == 2
+        assert {key[-1] for key in first._tapes} == {None, rows}
+        assert first._tapes.keys() == second._tapes.keys()
+        full_key = next(key for key in first._tapes if key[-1] is None)
+        last_key = next(key for key in first._tapes if key[-1] == rows)
+        assert first._tapes[full_key] is not first._tapes[last_key]
+        assert second._tapes[full_key] is first._tapes[full_key]
+        assert second._tapes[last_key] is first._tapes[last_key]
+        assert {key[-1] for key in _shared_entries(config)} == {None, rows}
+
+    def test_train_mode_dropout_scores_last_from_the_full_graph(self):
+        """A dropout mask is drawn per forward, so a train-mode model
+        neither row-checks nor replays: its score-last call consumes the
+        same randomness as ``score_windows``."""
+        config = _shared_config(seed=59, dropout=0.2)
+        windows = _shared_windows()
+        reference, model = TFMAEModel(1, config), TFMAEModel(1, config)
+        expected = reference.score_windows(windows)[:, -1]
+        with jit.use_jit(True):
+            assert np.array_equal(model.score_last_windows(windows), expected)
+        assert len(model._tapes) == 0
+
+
+class TestZeroRetrace:
+    """Once a key has traced, no batch size traces again: every tape is
+    traced on one row and replays at any batch."""
+
+    @pytest.mark.parametrize("use_fused", [True, False])
+    def test_mixed_batch_sizes_never_trace(self, use_fused):
+        model = _model("perfbench", seed=61)
+        sizes = np.random.default_rng(0).permutation(np.arange(1, 34))
+        with fused.use_fused(use_fused), jit.use_jit(True):
+            model.score_last_windows(_random_windows(model, 4, 0))
+            model.score_windows(_random_windows(model, 8, 0))
+            traces = jit.trace_count()
+            for seed, batch in enumerate(sizes):
+                windows = _random_windows(model, int(batch), seed)
+                last = model.score_last_windows(windows)
+                full = model.score_windows(windows)
+                assert np.array_equal(last, full[:, -1]), batch
+            assert jit.trace_count() == traces
+        assert len(model._tapes) == 2
+        assert model.jit_evictions == 0
+
+    def test_trace_count_counts_every_trace(self, monkeypatch):
+        config = _shared_config(seed=67)
+        model = TFMAEModel(1, config)
+        before = jit.trace_count()
+        with jit.use_jit(True):
+            model.score_windows(_shared_windows())
+            model.score_windows(_shared_windows())
+            model.score_last_windows(_shared_windows())
+        assert jit.trace_count() - before == 2

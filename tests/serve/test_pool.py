@@ -7,8 +7,10 @@ two-worker pool and the crash test spawns its own.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,12 @@ from repro.serve import (
     WeightSegment,
     attach_segment,
 )
-from repro.serve.pool import _classify, _rebuild_error
+from repro.serve.pool import (
+    _BLAS_THREAD_VARS,
+    _classify,
+    _rebuild_error,
+    _single_threaded_blas,
+)
 
 
 class TestHashRing:
@@ -255,3 +262,31 @@ class TestSupervision:
             assert pool.status()["alive"] == 0
             with pytest.raises(TransientFault):
                 pool.score("tfmae", "v1", fitted_tfmae, window)
+
+
+class TestWorkerBlasThreads:
+    """Each worker is one scoring thread: it starts with one BLAS thread
+    unless the environment says otherwise."""
+
+    def test_unset_variables_are_one_for_the_start_only(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        with _single_threaded_blas():
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+            assert os.environ["MKL_NUM_THREADS"] == "1"
+            assert os.environ["OMP_NUM_THREADS"] == "3"  # set: left alone
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert "MKL_NUM_THREADS" not in os.environ
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+
+    @pytest.mark.skipif(not Path("/proc/self/environ").exists(), reason="needs procfs")
+    def test_workers_start_with_one_blas_thread(self, monkeypatch):
+        for name in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        with ProcessPool(procs=1, heartbeat_interval=0.2) as pool:
+            (worker,) = pool.status()["workers"].values()
+            environ = Path(f"/proc/{worker['pid']}/environ").read_bytes().split(b"\0")
+        for name in _BLAS_THREAD_VARS:
+            assert f"{name}=1".encode() in environ
+            assert name not in os.environ

@@ -126,6 +126,21 @@ class TestEndToEnd:
         batch = snapshot["histograms"]["serve_batch_size"]
         assert batch["count"] > 0
 
+    def test_metrics_export_the_trace_count(self, served, sine_series):
+        """Warm traffic replays: a scored window shape stops tracing."""
+        from repro.nn import jit
+
+        payload = {"model": "tfmae", "window": sine_series[:50].tolist()}
+        _post(served.url, "/score", payload)
+        _, before = _get(served.url, "/metrics")
+        traces = before["counters"]["jit_traces_total"]
+        assert traces >= 1
+        assert traces == jit.trace_count()
+        for _ in range(3):
+            _post(served.url, "/score", payload)
+        _, after = _get(served.url, "/metrics")
+        assert after["counters"]["jit_traces_total"] == traces
+
     def test_predict_returns_label_only(self, served, fitted_tfmae, sine_series):
         window = sine_series[100:150]
         status, body = _post(served.url, "/predict",

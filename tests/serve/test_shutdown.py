@@ -8,10 +8,16 @@ tier (threads or process pool) kept alive until the drain completes.
 from __future__ import annotations
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 
@@ -128,3 +134,41 @@ def test_stop_is_idempotent_and_releases_port(tmp_path, fitted_tfmae):
     rebound = InferenceServer(registry, host=host, port=port, workers=1)
     rebound.start()
     rebound.stop()
+
+
+def test_sigterm_drains_the_cli_pool_server(tmp_path):
+    """SIGTERM (a service manager's stop) takes the Ctrl-C path: the
+    process exits 0 after the pool tier stops, and every shared-memory
+    weight segment is unlinked, so the resource tracker reports none
+    leaked."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    stdout, stderr = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(stdout, "w") as out, open(stderr, "w") as err:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--demo", "--procs", "2",
+             "--port", "0", "--registry", str(tmp_path / "registry")],
+            cwd=tmp_path, env=env, stdout=out, stderr=err,
+        )
+    try:
+        deadline = time.monotonic() + 300.0
+        match = None
+        while match is None and process.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.2)
+            match = re.search(r"listening on (http://\S+:\d+)", stdout.read_text())
+        assert match is not None, stderr.read_text()
+        # One score makes the pool export the model's weight segment.
+        window = np.sin(np.arange(100) / 5.0).tolist()
+        status, _ = _post_score(match.group(1), {"model": "demo", "window": window})
+        assert status == 200
+        process.send_signal(signal.SIGTERM)
+        process.wait(timeout=60.0)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    errors = stderr.read_text()
+    assert process.returncode == 0, errors
+    assert "repro.serve stopped" in stdout.read_text()
+    assert "leaked shared_memory" not in errors
