@@ -39,7 +39,7 @@ import numpy as np
 
 from repro import TFMAE, TFMAEConfig
 from repro.datasets import get_dataset
-from repro.robustness import CHAOS_FAULTS, ChaosHarness
+from repro.robustness.chaos import CHAOS_FAULTS, ChaosHarness
 from repro.serve import InferenceServer, LifecycleManager, ModelRegistry
 
 from _common import EPOCHS, SEED, save_json, save_result

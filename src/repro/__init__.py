@@ -35,7 +35,6 @@ from .datasets import get_dataset, available_datasets
 from .detector import BaseDetector
 from .eval import evaluate_detector, format_results_table, profile_detector
 from .metrics import evaluate_detection
-from .ensemble import EnsembleDetector
 from .robustness import CheckpointError, FaultPolicy, TrainingDivergedError
 from .streaming import StreamingDetector
 
@@ -53,7 +52,6 @@ __all__ = [
     "profile_detector",
     "evaluate_detection",
     "StreamingDetector",
-    "EnsembleDetector",
     "FaultPolicy",
     "CheckpointError",
     "TrainingDivergedError",

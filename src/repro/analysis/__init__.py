@@ -21,26 +21,16 @@ Three coordinated layers (see ``docs/analysis.md``):
   ``threading`` locks recording the *observed* lock-order graph, spawn
   hazards, and hold-time histograms (``REPRO_LOCKCHECK=1``).
 
+The package itself loads only the runtime pieces (``anomaly`` and
+``shapecheck``; ``lockcheck`` loads with its first importer), so a
+serving or training process never imports the static passes.  Those
+are imported by module path: ``repro.analysis.lint``,
+``repro.analysis.concurrency`` and ``repro.analysis.rules``.
+
 CLI: ``python -m repro analyze [lint|shapecheck|concurrency] [--all] [--json]``.
 """
 
 from .anomaly import AnomalyError, detect_anomaly, tensor_stats
-from .concurrency import (
-    CONCURRENCY_CODES,
-    analyze_concurrency,
-    lock_graph_summary,
-)
-from .lint import (
-    LintViolation,
-    format_json,
-    format_text,
-    lint_file,
-    lint_paths,
-    lint_source,
-    stale_suppressions,
-    suppressions_in,
-)
-from .rules import ALL_RULES
 from .shapecheck import (
     OpRecord,
     ShapeCheckError,
@@ -55,18 +45,6 @@ __all__ = [
     "AnomalyError",
     "detect_anomaly",
     "tensor_stats",
-    "LintViolation",
-    "ALL_RULES",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    "format_text",
-    "format_json",
-    "suppressions_in",
-    "stale_suppressions",
-    "CONCURRENCY_CODES",
-    "analyze_concurrency",
-    "lock_graph_summary",
     "OpRecord",
     "ShapeIssue",
     "ShapeCheckError",

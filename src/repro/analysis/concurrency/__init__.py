@@ -5,7 +5,8 @@ an interprocedural pass over the whole tree that builds the global
 lock-acquisition graph and checks three invariants a per-file linter
 cannot see::
 
-    from repro.analysis import analyze_concurrency, format_text
+    from repro.analysis.concurrency import analyze_concurrency
+    from repro.analysis.lint import format_text
     print(format_text(analyze_concurrency(["src/repro"])))
 
 or ``python -m repro analyze concurrency [--json]``.  Violations reuse

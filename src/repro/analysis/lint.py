@@ -2,7 +2,7 @@
 
 Usage::
 
-    from repro.analysis import lint_paths, format_text
+    from repro.analysis.lint import lint_paths, format_text
     violations = lint_paths(["src/repro"])
     print(format_text(violations))
 

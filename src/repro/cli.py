@@ -208,15 +208,9 @@ def _build_server(args: argparse.Namespace):
 def _run_analyze(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .analysis import (
-        ShapeCheckError,
-        analyze_concurrency,
-        format_json,
-        format_text,
-        lint_paths,
-        preflight_model,
-        stale_suppressions,
-    )
+    from .analysis import ShapeCheckError, preflight_model
+    from .analysis.concurrency import analyze_concurrency
+    from .analysis.lint import format_json, format_text, lint_paths, stale_suppressions
 
     run_lint = args.run_all or args.what in (None, "lint")
     run_concurrency = args.run_all or args.what in (None, "concurrency")

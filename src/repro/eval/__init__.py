@@ -1,9 +1,7 @@
 """Evaluation harness: the shared protocol and efficiency profiling."""
 
-from .attribution import channel_attribution, statistic_attribution, top_channels
 from .efficiency import EfficiencyProfile, profile_detector
 from .protocol import EvaluationResult, evaluate_detector, format_results_table
-from .tuning import GridResult, grid_search
 
 __all__ = [
     "EvaluationResult",
@@ -11,9 +9,4 @@ __all__ = [
     "format_results_table",
     "EfficiencyProfile",
     "profile_detector",
-    "channel_attribution",
-    "statistic_attribution",
-    "top_channels",
-    "GridResult",
-    "grid_search",
 ]

@@ -67,7 +67,9 @@ Argument references are resolved **by identity** at trace time:
 Every replay kernel mirrors the *exact* numpy operation sequence of the
 interpreted op (including the fused kernels of :mod:`repro.nn.fused`),
 so replay output is bitwise-identical to the interpreted graph in both
-float64 and float32.
+float64 and float32.  Only the ops the TFMAE scoring graph dispatches
+have a kernel; any other op (``sigmoid``, ``concat``, ...) soft-fails the
+trace like an unsupported argument does.
 
 Known replay differences (documented, not observable through scores):
 op hooks do not see replayed kernels, and attention's
@@ -321,8 +323,6 @@ def _scratch_specs(step: _Step):
     """
     op = step.op
     dtype = step.out_data.dtype
-    if op == "fused_softmax":
-        return ((_reduced_shape(step.out_data.shape, step.meta["axis"]), dtype),)
     if op == "fused_log_softmax":
         return (
             (step.out_data.shape, dtype),
@@ -347,9 +347,9 @@ def _scratch_specs(step: _Step):
 
 #: Broadcasting ops whose output has the rank of their widest operand.
 _ELEMENTWISE = frozenset({
-    "add", "mul", "div", "neg", "exp", "log", "sqrt", "tanh", "abs", "pow",
-    "sigmoid", "relu", "clip", "where", "fused_gelu", "fused_dropout_residual",
-    "fused_layer_norm", "fused_softmax", "fused_log_softmax",
+    "add", "mul", "div", "neg", "exp", "log", "sqrt", "tanh", "pow", "where",
+    "fused_gelu", "fused_dropout_residual", "fused_layer_norm",
+    "fused_log_softmax",
 })
 
 
@@ -444,10 +444,10 @@ def _check_rowwise(step: _Step, flags, batch, carries, arrays) -> None:
                 fail("broadcasts a batch-major operand past axis 0")
             elif not flag and len(shape) == out.ndim and shape[0] != 1:
                 fail(f"has a fixed operand {shape} along the batch axis")
-    if op in ("sum", "max", "max_stat"):
+    if op in ("sum", "max_stat"):
         if 0 in _axes(step.meta["axis"], len(shapes[0])):
             fail("reduces the batch axis")
-    elif op in ("fused_softmax", "fused_log_softmax"):
+    elif op == "fused_log_softmax":
         if 0 in _axes(step.meta["axis"], out.ndim):
             fail("normalizes over the batch axis")
     elif op == "fused_layer_norm" and out.ndim < 2:
@@ -456,11 +456,6 @@ def _check_rowwise(step: _Step, flags, batch, carries, arrays) -> None:
         # ``transpose(*axes)`` or ``transpose(axes)``: the full order.
         if int(np.ravel(step.meta["axes"])[0]) % out.ndim != 0:
             fail("moves the batch axis")
-    elif op in ("concat", "stack"):
-        if not all(flags):
-            fail("joins batch-major and fixed operands")
-        if 0 in _axes(step.meta["axis"], out.ndim):
-            fail("joins along the batch axis")
     elif op in ("getitem", "scatter"):
         elements = _index_elements(step.meta["index"]) or ((_CONST, ()),)
         index_arrays = [ref for ref in elements
@@ -775,25 +770,6 @@ def _emit_pow(cg, i, step, kind, buf_id, scratch_ids):
     cg.emit(f"e{i} = {cg.ref(step.refs[0])} ** {cg.lit(step.meta['exponent'])}")
 
 
-def _emit_sigmoid(cg, i, step, kind, buf_id, scratch_ids):
-    a, buf = cg.ref(step.refs[0]), cg.buf(buf_id)
-    cg.emit(f"np.negative({a}, out={buf})")
-    cg.emit(f"np.exp({buf}, out={buf})")
-    cg.emit(f"np.add({buf}, 1.0, out={buf})")
-    cg.emit(f"e{i} = np.divide(1.0, {buf}, out={buf})")
-
-
-def _emit_relu(cg, i, step, kind, buf_id, scratch_ids):
-    a = cg.ref(step.refs[0])
-    cg.emit(f"e{i} = np.multiply({a}, np.greater({a}, 0), out={cg.buf(buf_id)})")
-
-
-def _emit_clip(cg, i, step, kind, buf_id, scratch_ids):
-    a = cg.ref(step.refs[0])
-    low, high = cg.lit(step.meta["low"]), cg.lit(step.meta["high"])
-    cg.emit(f"e{i} = np.clip({a}, {low}, {high}, out={cg.buf(buf_id)})")
-
-
 def _reduction_emitter(ufunc):
     # ``ndarray.sum``/``.max`` are exactly ``np.add.reduce``/
     # ``np.maximum.reduce`` underneath (numpy's ``_methods`` module binds
@@ -831,20 +807,6 @@ def _emit_getitem(cg, i, step, kind, buf_id, scratch_ids):
     cg.emit(f"e{i} = {cg.ref(step.refs[0])}[{cg.index(step.meta['index'])}]")
 
 
-def _emit_concat(cg, i, step, kind, buf_id, scratch_ids):
-    parts = ", ".join(cg.ref(ref) for ref in step.refs)
-    axis = cg.lit(step.meta["axis"])
-    cg.emit(
-        f"e{i} = np.concatenate(({parts},), axis={axis}, out={cg.buf(buf_id)})"
-    )
-
-
-def _emit_stack(cg, i, step, kind, buf_id, scratch_ids):
-    parts = ", ".join(cg.ref(ref) for ref in step.refs)
-    axis = cg.lit(step.meta["axis"])
-    cg.emit(f"e{i} = np.stack(({parts},), axis={axis}, out={cg.buf(buf_id)})")
-
-
 def _emit_scatter(cg, i, step, kind, buf_id, scratch_ids):
     buf = cg.buf(buf_id)
     cg.emit(f"{buf}[...] = 0.0")
@@ -859,18 +821,6 @@ def _emit_where(cg, i, step, kind, buf_id, scratch_ids):
     cond = cg.obj(step.meta["condition"])
     a, b = cg.ref(step.refs[0]), cg.ref(step.refs[1])
     cg.emit(f"e{i} = np.where({cond}, {a}, {b})")
-
-
-def _emit_fused_softmax(cg, i, step, kind, buf_id, scratch_ids):
-    a, buf = cg.ref(step.refs[0]), cg.buf(buf_id)
-    red = cg.buf(scratch_ids[0])
-    axis = cg.lit(step.meta["axis"])
-    cg.emit(f"np.maximum.reduce({a}, axis={axis}, out={red}, keepdims=True)")
-    cg.emit(f"np.subtract({a}, {red}, out={buf})")
-    cg.emit(f"np.exp({buf}, out={buf})")
-    cg.emit(f"np.add.reduce({buf}, axis={axis}, out={red}, keepdims=True)")
-    cg.emit(f"{buf} /= {red}")
-    cg.emit(f"e{i} = {buf}")
 
 
 def _emit_fused_log_softmax(cg, i, step, kind, buf_id, scratch_ids):
@@ -947,23 +897,15 @@ _COMPILERS = {
     "log": _unary_emitter("log"),
     "sqrt": _unary_emitter("sqrt"),
     "tanh": _unary_emitter("tanh"),
-    "abs": _unary_emitter("absolute"),
     "pow": _emit_pow,
-    "sigmoid": _emit_sigmoid,
-    "relu": _emit_relu,
-    "clip": _emit_clip,
     "sum": _reduction_emitter("add"),
-    "max": _reduction_emitter("maximum"),
     "max_stat": _reduction_emitter("maximum"),
     "matmul": _emit_matmul,
     "transpose": _emit_transpose,
     "reshape": _emit_reshape,
     "getitem": _emit_getitem,
-    "concat": _emit_concat,
-    "stack": _emit_stack,
     "scatter": _emit_scatter,
     "where": _emit_where,
-    "fused_softmax": _emit_fused_softmax,
     "fused_log_softmax": _emit_fused_log_softmax,
     "fused_layer_norm": _emit_fused_layer_norm,
     "fused_gelu": _emit_fused_gelu,

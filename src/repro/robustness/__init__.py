@@ -14,14 +14,15 @@ makes both hot paths survivable:
 * :mod:`~repro.robustness.faults` — :class:`FaultPolicy`, the streaming
   degradation contract (impute, clamp, reject, fall back) consumed by
   :class:`~repro.streaming.StreamingDetector`;
-* :mod:`~repro.robustness.chaos` — :class:`ChaosHarness`, fault
-  injection against a live ``repro.serve`` stack (corrupt/truncated
+* :mod:`~repro.robustness.chaos` — :class:`~repro.robustness.chaos.ChaosHarness`,
+  fault injection against a live ``repro.serve`` stack (corrupt/truncated
   artifacts, slow loads, transient failures, worker exceptions, queue
-  saturation) asserting the graceful-degradation contract.
+  saturation) asserting the graceful-degradation contract.  It drives
+  the HTTP server, so the package does not import it: training never
+  loads ``repro.serve``.  Import it as ``repro.robustness.chaos``.
 """
 
 from ..nn.serialization import CheckpointError
-from .chaos import CHAOS_FAULTS, ChaosHarness
 from .checkpoint import CheckpointManager, config_fingerprint, fingerprint_mismatches
 from .faults import FaultPolicy, sanitize_observation
 from .guards import DivergenceGuard, GuardReport, TrainingDivergedError
@@ -36,6 +37,4 @@ __all__ = [
     "TrainingDivergedError",
     "FaultPolicy",
     "sanitize_observation",
-    "CHAOS_FAULTS",
-    "ChaosHarness",
 ]

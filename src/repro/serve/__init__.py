@@ -67,7 +67,7 @@ from .lifecycle import (
 from .hashring import HashRing
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .pool import ProcessPool
-from .registry import DetectorCodec, ModelRegistry, config_fingerprint, register_codec
+from .registry import ModelRegistry, config_fingerprint
 from .scheduler import MicroBatcher, ScoreRequest
 from .server import InferenceServer
 from .shm import WeightSegment, attach_segment
@@ -86,8 +86,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ModelRegistry",
-    "DetectorCodec",
-    "register_codec",
     "config_fingerprint",
     "MicroBatcher",
     "ScoreRequest",

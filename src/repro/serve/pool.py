@@ -41,7 +41,7 @@ Protocol (pickle tuples over one duplex pipe per worker, FIFO)::
     parent -> worker                      worker -> parent
     ("load",  key, spec)                  ("loaded", key, pid) | ("load_err", key, kind, msg)
     ("score", req_id, key, window)        ("score_ok", req_id, score) | ("score_err", req_id, kind, msg)
-    ("ping",  token)                      ("pong", token, pid)
+    ("ping",  token)                      ("pong", token, pid, traces)
     ("rss",   req_id)                     ("rss_ok", req_id, {"RssAnon": kB, ...})
     ("stop",)                             ("bye", pid)
 
@@ -69,6 +69,7 @@ import numpy as np
 
 from ..analysis.lockcheck import named_lock
 from ..detector import BaseDetector
+from ..nn import jit
 from .breaker import CircuitBreaker
 from .errors import (
     ModelNotFound,
@@ -79,7 +80,7 @@ from .errors import (
 )
 from .hashring import HashRing
 from .metrics import MetricsRegistry
-from .registry import _lookup_codec
+from .registry import _tfmae_build, _tfmae_export
 from .scheduler import score_groups
 from .shm import WeightSegment, attach_segment
 
@@ -199,15 +200,9 @@ def _worker_score(conn, detector_for: Callable[[str], BaseDetector], batch: list
 
 
 def _worker_load(conn, models: dict, segments: dict, key: str, spec: dict) -> None:
-    """Rebuild a detector from its codec and bind shared-memory weights."""
+    """Rebuild a detector from its hyperparams and bind shared-memory weights."""
     try:
-        codec = _lookup_codec(spec["detector"])
-        if codec is None:
-            raise RegistryError(
-                f"no codec registered for detector type {spec['detector']!r} "
-                "in worker process"
-            )
-        detector, module = codec.build(spec["hyperparams"])
+        detector, module = _tfmae_build(spec["hyperparams"])
         segment = attach_segment(spec["segment"], spec["manifest"])
         module.load_state_dict(segment.state(), copy=False)
         models[key] = detector
@@ -256,7 +251,7 @@ def _worker_main(slot: str, conn) -> None:
             if op == "load":
                 _worker_load(conn, models, segments, message[1], message[2])
             elif op == "ping":
-                conn.send(("pong", message[1], os.getpid()))
+                conn.send(("pong", message[1], os.getpid(), jit.trace_count()))
             elif op == "rss":
                 conn.send(("rss_ok", message[1], _read_proc_rss()))
             elif op == "stop":
@@ -292,7 +287,7 @@ class _WorkerHandle:
     """Parent-side state of one worker slot (survives respawns via pool)."""
 
     __slots__ = ("slot", "process", "conn", "send_lock", "loaded", "last_seen",
-                 "receiver", "state", "scored")
+                 "receiver", "state", "scored", "traces")
 
     def __init__(self, slot: str, process, conn):
         self.slot = slot
@@ -308,6 +303,8 @@ class _WorkerHandle:
         self.receiver: threading.Thread | None = None
         self.state = "live"  # live | dead
         self.scored = 0
+        #: The worker's ``jit.trace_count()`` as of its last pong.
+        self.traces = 0
 
 
 class ProcessPool:
@@ -374,6 +371,7 @@ class ProcessPool:
             for i in range(procs)
         }
         self._respawns: dict[str, int] = {self._slot_name(i): 0 for i in range(procs)}
+        self._worker_traces = 0
         self._inflight: dict[int, _Inflight] = {}
         self._inflight_by_model: dict[str, int] = defaultdict(int)
         self._next_id = 0
@@ -530,11 +528,28 @@ class ProcessPool:
                     handle.loaded.discard(message[1])
             elif tag == "pong":
                 self._breakers[handle.slot].record_success()
+                self._note_traces(handle, message[3])
             elif tag == "rss_ok":
                 self._resolve_control(message[1], message[2])
             elif tag == "bye":
                 break
         self._on_worker_exit(handle)
+
+    def _note_traces(self, handle: _WorkerHandle, count: int) -> None:
+        """Add a worker's newly reported traces to the pool's total.
+
+        Only the increase since its last pong is added, so the total
+        never drops when a respawned worker counts from zero again.
+        """
+        with self._lock:
+            self._worker_traces += count - handle.traces
+            handle.traces = count
+
+    def worker_traces(self) -> int:
+        """Scoring-tape traces run by every worker process this pool has
+        started, as of each one's last heartbeat pong."""
+        with self._lock:
+            return self._worker_traces
 
     def _on_worker_exit(self, handle: _WorkerHandle) -> None:
         """A worker's pipe closed: crash or clean exit, decided by state."""
@@ -682,17 +697,9 @@ class ProcessPool:
             spec = self._specs.get(key)
         if spec is not None:
             return spec
-        codec = _lookup_codec(type(detector).__name__)
-        if codec is None:
-            raise RegistryError(
-                f"no codec registered for detector type "
-                f"{type(detector).__name__!r}; the pool cannot ship it "
-                "to workers"
-            )
-        module, hyperparams = codec.export(detector)
+        module, hyperparams = _tfmae_export(detector)
         segment = WeightSegment.publish(module)
         spec = {
-            "detector": type(detector).__name__,
             "hyperparams": hyperparams,
             "segment": segment.name,
             "manifest": segment.manifest,

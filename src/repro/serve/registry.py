@@ -19,7 +19,7 @@ under ``model.*`` plus a JSON metadata record carrying everything needed
 to rebuild the detector **without refitting** — the full config, the
 feature count, the calibrated threshold, and a SHA-256 config
 fingerprint.  :meth:`ModelRegistry.load` verifies the fingerprint before
-trusting the metadata, rebuilds the detector through its codec, loads
+trusting the metadata, rebuilds the detector from it, loads
 the weights (shape-validated by ``load_model`` semantics), and caches
 the result so repeated requests for the same version hit memory.
 
@@ -40,12 +40,11 @@ testing"):
   last-good resident version, or raises
   :class:`~repro.serve.errors.CircuitOpen` (HTTP 503) when none is.
 
-Detector types plug in through a small codec protocol
-(:func:`register_codec`): ``export`` turns a fitted detector into
-``(module, hyperparams)``, ``build`` turns hyperparams back into an
-unfitted-but-configured detector whose module the weights are loaded
-into.  TFMAE ships registered; baselines with a single ``Module`` can
-register theirs in one call.
+The registry persists TFMAE detectors: :func:`_tfmae_export` turns a
+fitted one into ``(module, hyperparams)``, and :func:`_tfmae_build` turns
+hyperparams back into a configured detector whose module the weights are
+loaded into.  Publishing another detector type, or loading an artifact
+that names one, raises :class:`~repro.serve.errors.RegistryError`.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ import time
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from ..analysis.lockcheck import named_lock
 from ..detector import BaseDetector
@@ -74,7 +73,7 @@ from ..nn.serialization import (
 from .breaker import CircuitBreaker, RetryPolicy
 from .errors import CircuitOpen, ModelNotFound, RegistryError, TransientFault
 
-__all__ = ["ModelRegistry", "DetectorCodec", "register_codec", "config_fingerprint"]
+__all__ = ["ModelRegistry", "config_fingerprint"]
 
 #: Registry schema version embedded in every artifact.
 _SCHEMA = 1
@@ -90,35 +89,9 @@ _LIVE_FILE = "LIVE"
 _QUARANTINE_DIR = "quarantine"
 
 
-class DetectorCodec(NamedTuple):
-    """How to take one detector type apart and put it back together.
-
-    ``export(detector) -> (module, hyperparams)`` — the module whose
-    ``state_dict`` is persisted and a JSON-serialisable hyperparameter
-    dict; ``build(hyperparams) -> (detector, module)`` — a configured
-    detector marked fitted/calibrated plus the module to load weights
-    into.
-    """
-
-    export: Callable[[BaseDetector], tuple[Module, dict]]
-    build: Callable[[dict], tuple[BaseDetector, Module]]
-
-
-_CODECS: dict[str, DetectorCodec] = {}
-#: Guards _CODECS: registration normally happens at import time, but a
-#: serving process may register a codec while worker threads resolve types.
-_CODECS_LOCK = named_lock("serve.registry.codecs")
-
-
-def register_codec(detector_type: str, codec: DetectorCodec) -> None:
-    """Register persistence support for a detector type (by class name)."""
-    with _CODECS_LOCK:
-        _CODECS[detector_type] = codec
-
-
-def _lookup_codec(detector_type: str) -> DetectorCodec | None:
-    with _CODECS_LOCK:
-        return _CODECS.get(detector_type)
+#: The detector type (class name) every artifact records and the only
+#: one the registry and the process pool can take apart and rebuild.
+_DETECTOR_TYPE = "TFMAE"
 
 
 def _preflight_module(module: Module) -> None:
@@ -152,17 +125,28 @@ class _CorruptArtifact(RegistryError):
 
     Subclasses :class:`RegistryError`, so an escape is still the public
     type; the distinct class is what separates "move this file aside and
-    fall back" from "this process lacks a codec" (not the file's fault).
+    fall back" from "this artifact names a detector type the registry
+    cannot rebuild" (not the file's fault).
     """
 
 
 # ----------------------------------------------------------------------
-# TFMAE codec
+# TFMAE export / build
 # ----------------------------------------------------------------------
 def _tfmae_export(detector: BaseDetector) -> tuple[Module, dict]:
-    from ..core import TFMAE
-
-    assert isinstance(detector, TFMAE)
+    """The module whose ``state_dict`` is persisted, and a
+    JSON-serialisable hyperparameter dict."""
+    detector_type = type(detector).__name__
+    if detector_type != _DETECTOR_TYPE:
+        raise RegistryError(
+            f"cannot export detector type {detector_type!r}: the registry "
+            f"persists {_DETECTOR_TYPE} detectors only"
+        )
+    if detector.threshold_ is None:
+        raise RegistryError(
+            f"detector {detector_type!r} has no calibrated threshold; serving "
+            "needs one — fit with a validation split or call calibrate_threshold()"
+        )
     if detector.model is None:
         raise RegistryError("TFMAE detector has no trained model; fit it first")
     hyperparams = {
@@ -175,6 +159,8 @@ def _tfmae_export(detector: BaseDetector) -> tuple[Module, dict]:
 
 
 def _tfmae_build(hyperparams: dict) -> tuple[BaseDetector, Module]:
+    """A configured detector marked fitted and calibrated, and the module
+    to load its weights into."""
     from ..core import TFMAE, TFMAEConfig
     from ..core.model import TFMAEModel
 
@@ -192,9 +178,6 @@ def _tfmae_build(hyperparams: dict) -> tuple[BaseDetector, Module]:
     detector._fitted = True
     detector.threshold_ = float(hyperparams["threshold"])
     return detector, detector.model
-
-
-register_codec("TFMAE", DetectorCodec(export=_tfmae_export, build=_tfmae_build))
 
 
 def _validate_component(value: str, what: str) -> str:
@@ -285,19 +268,7 @@ class ModelRegistry:
         to promote the new version.
         """
         _validate_component(name, "model name")
-        detector_type = type(detector).__name__
-        codec = _lookup_codec(detector_type)
-        if codec is None:
-            raise RegistryError(
-                f"no codec registered for detector type {detector_type!r}; "
-                "see repro.serve.registry.register_codec"
-            )
-        if detector.threshold_ is None:
-            raise RegistryError(
-                f"detector {detector_type!r} has no calibrated threshold; serving "
-                "needs one — fit with a validation split or call calibrate_threshold()"
-            )
-        module, hyperparams = codec.export(detector)
+        module, hyperparams = _tfmae_export(detector)
         _preflight_module(module)
 
         with self._name_lock(name):
@@ -313,7 +284,7 @@ class ModelRegistry:
                 "schema": _SCHEMA,
                 "name": name,
                 "version": version,
-                "detector": detector_type,
+                "detector": _DETECTOR_TYPE,
                 "hyperparams": hyperparams,
                 "fingerprint": config_fingerprint(hyperparams),
             }
@@ -551,16 +522,15 @@ class ModelRegistry:
                 f"{metadata['fingerprint'][:12]}…, recomputed {expected[:12]}…); "
                 "the metadata was altered after publishing"
             )
-        codec = _lookup_codec(metadata["detector"])
-        if codec is None:
+        if metadata["detector"] != _DETECTOR_TYPE:
             # Not the file's fault — quarantining would destroy a good
-            # artifact over a process-side registration gap.
+            # artifact this release cannot rebuild.
             raise RegistryError(
-                f"artifact {path} needs codec {metadata['detector']!r}, which is "
-                "not registered in this process"
+                f"artifact {path} holds detector type {metadata['detector']!r}; "
+                f"the registry rebuilds {_DETECTOR_TYPE} detectors only"
             )
         try:
-            detector, module = codec.build(metadata["hyperparams"])
+            detector, module = _tfmae_build(metadata["hyperparams"])
         except (TypeError, ValueError, KeyError) as error:
             raise RegistryError(f"artifact {path} failed to load: {error}") from error
         try:

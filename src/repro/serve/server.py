@@ -26,8 +26,9 @@ Endpoints
 ``GET /metrics``
     JSON snapshot of the :class:`~repro.serve.metrics.MetricsRegistry`
     (counters, gauges, latency histograms with p50/p95/p99), plus
-    ``jit_traces_total``: the scoring-tape traces this process has run.
-    Pool-tier workers trace in their own processes and are not counted.
+    ``jit_traces_total``: the scoring-tape traces this process has run,
+    plus, on the pool tier, those its workers reported in their
+    heartbeats (:meth:`~repro.serve.pool.ProcessPool.worker_traces`).
 ``GET /models``
     Registry listing: every model name with its versions.
 
@@ -340,10 +341,13 @@ class InferenceServer:
         return body
 
     def metrics_snapshot(self) -> dict:
-        """The ``/metrics`` body: the registry's snapshot plus this
-        process's scoring-tape trace count."""
+        """The ``/metrics`` body: the registry's snapshot plus the
+        scoring-tape trace count of this process and its pool workers."""
         snapshot = self.metrics.snapshot()
-        snapshot["counters"]["jit_traces_total"] = float(jit.trace_count())
+        traces = jit.trace_count()
+        if self.pool is not None:
+            traces += self.pool.worker_traces()
+        snapshot["counters"]["jit_traces_total"] = float(traces)
         return snapshot
 
     def health(self) -> dict:

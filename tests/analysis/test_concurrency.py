@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.analysis import analyze_concurrency, lock_graph_summary
+from repro.analysis.concurrency import analyze_concurrency, lock_graph_summary
 
 
 def _write(tmp_path, name, source):

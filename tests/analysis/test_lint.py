@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import format_json, format_text, lint_source
+from repro.analysis.lint import format_json, format_text, lint_source
 
 
 def _lint(code: str, path: str = "src/repro/example.py"):

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 import repro
-from repro.analysis import lint_paths
+from repro.analysis.lint import lint_paths
 from repro.cli import main
 
 

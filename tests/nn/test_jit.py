@@ -724,6 +724,17 @@ class TestBatchPolymorphic:
 
 
 class TestFallback:
+    def test_op_without_a_kernel_returns_the_interpreted_result(self):
+        """An op no scoring graph dispatches has no replay kernel: the
+        trace soft-fails, and its result is the interpreted one."""
+        slots = {"x": np.random.default_rng(0).normal(size=(4, 3))}
+        with nn.no_grad():
+            expected = Tensor(slots["x"]).sigmoid().data
+            out, tape = jit.trace(lambda: Tensor(slots["x"]).sigmoid() * 2.0,
+                                  slots, batch_slots=("x",))
+        assert tape is None
+        assert np.array_equal(out.data, expected * 2.0)
+
     def test_unsupported_op_falls_back_and_negative_caches(self, monkeypatch):
         """An untraceable graph scores interpreted and is negative-cached:
         one failed trace, then no more.  Once the op is replayable again,

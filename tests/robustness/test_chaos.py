@@ -18,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.robustness import CHAOS_FAULTS, ChaosHarness
+from repro.robustness.chaos import CHAOS_FAULTS, ChaosHarness
 from repro.serve import InferenceServer, ModelRegistry
 
 pytestmark = pytest.mark.chaos

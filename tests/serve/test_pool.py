@@ -264,6 +264,49 @@ class TestSupervision:
                 pool.score("tfmae", "v1", fitted_tfmae, window)
 
 
+class TestWorkerTraceCount:
+    def test_metrics_add_worker_traces_and_survive_a_respawn(
+        self, tmp_path, fitted_tfmae, sine_series
+    ):
+        """Pool workers trace in their own processes: ``/metrics`` adds
+        the counts their heartbeats report, and a respawned worker
+        counting from zero never lowers the total."""
+        from repro.nn import jit
+        from repro.serve import InferenceServer, ModelRegistry
+
+        registry = ModelRegistry(tmp_path)
+        registry.publish("tfmae", fitted_tfmae)
+
+        def traces() -> float:
+            return server.metrics_snapshot()["counters"]["jit_traces_total"]
+
+        def wait_for(condition, what: str) -> None:
+            deadline = time.monotonic() + 20.0
+            while not condition():
+                if time.monotonic() >= deadline:
+                    pytest.fail(f"timed out waiting for {what}")
+                time.sleep(0.05)
+
+        with InferenceServer(registry, port=0, procs=1) as server:
+            for start in (0, 10, 20):
+                window = sine_series[start:start + 50].tolist()
+                server.score_request({"model": "tfmae", "window": window},
+                                     want_score=True)
+            wait_for(lambda: traces() > jit.trace_count(), "the worker's traces")
+            before = traces()
+
+            def worker() -> dict:
+                return server.pool.status()["workers"]["proc-0"]
+
+            pid = server.pool.kill_worker("proc-0")
+            wait_for(lambda: worker()["alive"] and worker()["pid"] != pid,
+                     "the respawn")
+            age = worker()["last_seen_age"]
+            wait_for(lambda: worker()["last_seen_age"] < age,
+                     "a pong from the new worker")
+            assert traces() >= before
+
+
 class TestWorkerBlasThreads:
     """Each worker is one scoring thread: it starts with one BLAS thread
     unless the environment says otherwise."""

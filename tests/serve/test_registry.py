@@ -35,8 +35,27 @@ class TestPublish:
 
     def test_rejects_unknown_detector_type(self, tmp_path, toy_detector):
         registry = ModelRegistry(tmp_path)
-        with pytest.raises(RegistryError, match="codec"):
+        with pytest.raises(RegistryError, match="'AbsLastDetector'"):
             registry.publish("toy", toy_detector)
+        assert registry.versions("toy") == []
+        assert not (tmp_path / "toy").exists()
+
+    def test_artifact_of_unknown_detector_type_is_not_quarantined(
+        self, tmp_path, fitted_tfmae
+    ):
+        """An artifact naming a detector type this release cannot rebuild
+        is refused, but it is not the file's fault: it stays in place."""
+        ModelRegistry(tmp_path).publish("tfmae", fitted_tfmae)
+        path = tmp_path / "tfmae" / "v1.npz"
+        metadata = load_metadata(path)
+        metadata["detector"] = "AbsLastDetector"
+        save_training_state(path, fitted_tfmae.model, metadata=metadata)
+        registry = ModelRegistry(tmp_path)
+        with pytest.raises(RegistryError, match="'AbsLastDetector'") as caught:
+            registry.load("tfmae", "v1")
+        assert type(caught.value) is RegistryError
+        assert path.exists()
+        assert registry.quarantined("tfmae") == []
 
     def test_rejects_path_traversal_names(self, tmp_path, fitted_tfmae):
         registry = ModelRegistry(tmp_path)
@@ -101,17 +120,16 @@ class TestLoadRoundTrip:
     def _publish_with_extra_config(self, monkeypatch, tmp_path, detector, extra):
         """Publish ``detector`` with ``extra`` keys in its stored config,
         as an artifact written by another release would carry them."""
-        codec = registry_module._CODECS["TFMAE"]
+        tfmae_export = registry_module._tfmae_export
 
         def export(det):
-            module, hyperparams = codec.export(det)
+            module, hyperparams = tfmae_export(det)
             hyperparams["config"].update(extra)
             return module, hyperparams
 
-        monkeypatch.setitem(registry_module._CODECS, "TFMAE",
-                            codec._replace(export=export))
+        monkeypatch.setattr(registry_module, "_tfmae_export", export)
         ModelRegistry(tmp_path).publish("tfmae", detector)
-        monkeypatch.setitem(registry_module._CODECS, "TFMAE", codec)
+        monkeypatch.setattr(registry_module, "_tfmae_export", tfmae_export)
         return ModelRegistry(tmp_path)
 
     def test_artifact_with_retired_config_field_still_loads(
