@@ -139,8 +139,7 @@ def run_fault_scenarios(detector: TFMAE, test: np.ndarray) -> dict:
             registry.publish("primary", detector)
             registry.publish("primary", detector)  # v2: fallback headroom
             registry.publish("healthy", detector)
-            server = InferenceServer(registry, port=0, max_batch_size=4,
-                                     max_queue=8, workers=2)
+            server = InferenceServer(registry, port=0, max_batch_size=4, max_queue=8)
             with server, ChaosHarness(server) as chaos:
                 injected_at = time.perf_counter()
                 if fault in ("corrupt_artifact", "truncated_artifact"):

@@ -5,9 +5,10 @@ Not a paper table: this bench measures the ``--procs`` tier of
 the same fit, so every correct answer is bitwise-identical — are
 published to a registry and served over live HTTP while concurrent
 clients drive a mixed ``/score`` stream across them.  Rows vary the
-worker-process count (1, 2, 4) plus a thread-tier reference row
-(``--procs 0``), measuring client-side throughput and latency through
-the same :class:`repro.serve.metrics.Histogram` the serving bench uses.
+worker-process count (1, 2, 4) plus the in-process reference row
+(``--procs 0``, one scoring thread), measuring client-side throughput
+and latency through the same :class:`repro.serve.metrics.Histogram` the
+serving bench uses.
 
 The load generator is closed-loop with **fixed per-worker concurrency**
 (``CLIENTS_PER_PROC`` clients per worker process): measuring a 4-worker
@@ -18,9 +19,9 @@ coalescing advantage (all clients drain into one big batch).  Each row
 reports the median of ``DRIVES`` runs; the JSON records every sample
 and the client count per row.
 
-The model names are chosen so the consistent-hash ring spreads them one
-per worker at ``--procs 4`` and two per worker at ``--procs 2`` — the
-locality the ring buys: a dedicated worker sees long single-model runs
+The model names are chosen so rendezvous routing spreads them one per
+worker at ``--procs 4`` and two per worker at ``--procs 2`` — the
+locality routing buys: a dedicated worker sees long single-model runs
 and folds them into larger vectorized batches, where a lone worker
 interleaves all four streams.
 
@@ -50,7 +51,7 @@ row.  Pool workers start with one BLAS thread unless the environment
 sets ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``/``MKL_NUM_THREADS``
 (one BLAS thread per core in each of two workers on two cores cut
 procs=2 to a third of procs=1's throughput on a 2-vCPU host).  The
-thread-tier row runs in this process at its own BLAS setting.  The JSON
+in-process row runs in this process at its own BLAS setting.  The JSON
 records this process's ``OPENBLAS_NUM_THREADS`` as ``blas_threads`` and
 the workers' as ``worker_blas_threads``.
 """
@@ -80,9 +81,10 @@ PROC_COUNTS = (1, 2, 4)
 CLIENTS_PER_PROC = 2
 DRIVES = 5  # median-of-N per row; single-core schedulers are noisy
 REQUESTS = int(os.environ.get("REPRO_BENCH_POOL_REQUESTS", "160"))
-#: Chosen for their SHA-1 ring placement: one per slot at --procs 4
-#: (current→0, flow→1, vibration→2, humidity→3), two per slot at 2.
-MODELS = ("current", "flow", "vibration", "humidity")
+#: Chosen for their rendezvous placement: one per slot at --procs 4
+#: (temperature→0, flow→1, current→2, rpm→3), two per slot at 2
+#: (current and temperature→0, flow and rpm→1).
+MODELS = ("current", "flow", "temperature", "rpm")
 N_WINDOWS = 4
 
 
@@ -288,8 +290,8 @@ def run_multiproc_bench() -> tuple[str, dict]:
         for name in MODELS:
             registry.publish(name, detector)
 
-        # Thread-tier reference row (--procs 0).
-        with InferenceServer(registry, port=0, workers=2) as server:
+        # In-process reference row (--procs 0: one scoring thread).
+        with InferenceServer(registry, port=0) as server:
             _warmup(server.url, bodies)
             rows["threads"] = _drive(server.url, bodies, expected,
                                      2 * CLIENTS_PER_PROC)
@@ -327,7 +329,7 @@ def run_multiproc_bench() -> tuple[str, dict]:
             str(owners.get(f"proc-{i}", 0)) for i in range(procs)
         )
     for label, row in rows.items():
-        tier = "threads(2)" if label == "threads" else f"procs={label}"
+        tier = "threads(1)" if label == "threads" else f"procs={label}"
         lines.append(
             f"{tier:>10} {row['clients']:>8d} {row['rps']:>8.0f} r/s "
             f"{row['p50']:>8.2f} {row['p99']:>8.2f} {spread[label]:>14}"
@@ -378,8 +380,8 @@ def _assert_acceptance(payload: dict) -> None:
 
     Wherever ``min(procs, cores)`` grows there is real CPU headroom and
     throughput must strictly rise; once procs exceed cores the extra
-    processes time-share one CPU and the bar is "ring locality keeps it
-    from collapsing" (within 25%) — the JSON carries ``cpu_count`` and
+    processes time-share one CPU and the bar is "routing locality keeps
+    it from collapsing" (within 25%) — the JSON carries ``cpu_count`` and
     ``regime`` so committed numbers say which bar applied.
     """
     cores = payload["cpu_count"]

@@ -5,7 +5,7 @@ small TFMAE is fitted once, then concurrent client threads push rolling
 windows through a :class:`~repro.serve.MicroBatcher` configured with
 ``max_batch_size`` in {1, 8, 32}.  Batch size 1 *is* per-request scoring
 (every window takes its own forward pass), so the speedup of the larger
-rows is exactly what coalescing buys — same detector, same worker pool,
+rows is exactly what coalescing buys — same detector, same scoring thread,
 same request stream.
 
 Client-side latency lands in a :class:`repro.serve.metrics.Histogram`
@@ -18,8 +18,8 @@ Every row runs twice — interpreted and tape-replay (the process-wide
 table separates what coalescing buys from what trace-compiled scoring
 buys end to end.
 
-A free worker scores whatever is queued at once, and requests that
-arrive while it scores coalesce into the next batch.
+The idle scoring thread scores whatever is queued at once, and requests
+that arrive while it scores coalesce into the next batch.
 
 Expected shape: on multi-core runners throughput rises with the
 batch-size budget (vectorized ``score_windows`` amortises Python and
@@ -52,7 +52,6 @@ WINDOW = 100
 BATCH_SIZES = (1, 8, 32)
 CLIENTS = 8
 REQUESTS = int(os.environ.get("REPRO_BENCH_SERVE_REQUESTS", "320"))
-WORKERS = 2
 
 
 def _fit_detector() -> tuple[TFMAE, np.ndarray]:
@@ -67,7 +66,7 @@ def _fit_detector() -> tuple[TFMAE, np.ndarray]:
 
 def _run_config(detector: TFMAE, test: np.ndarray, max_batch_size: int,
                 use_jit: bool) -> dict:
-    # The worker threads read the process-wide default, so the row sets
+    # The scoring thread reads the process-wide default, so the row sets
     # it and puts the previous value back afterwards.
     previous = jit.jit_enabled()
     jit.set_jit(use_jit)
@@ -84,7 +83,7 @@ def _measure(detector: TFMAE, test: np.ndarray, max_batch_size: int) -> dict:
 
     with MicroBatcher(detector_for=lambda key: detector,
                       max_batch_size=max_batch_size,
-                      max_queue=REQUESTS + CLIENTS, workers=WORKERS) as batcher:
+                      max_queue=REQUESTS + CLIENTS) as batcher:
 
         def client(offsets: range) -> None:
             for offset in offsets:
@@ -131,7 +130,7 @@ def run_serving_bench() -> tuple[str, dict]:
               f"{'p95 ms':>8} {'p99 ms':>8} {'mean batch':>11}")
     lines = [
         f"Serving throughput ({DATASET} profile, {REQUESTS} requests, "
-        f"{CLIENTS} concurrent clients, {WORKERS} workers)",
+        f"{CLIENTS} concurrent clients, one scoring thread)",
         header,
         "-" * len(header),
     ]

@@ -57,8 +57,7 @@ def main() -> None:
         version = registry.publish("tfmae", detector)
         print(f"published tfmae:{version} -> {root}")
 
-        with InferenceServer(registry, port=0, max_batch_size=8,
-                             workers=2) as server:
+        with InferenceServer(registry, port=0, max_batch_size=8) as server:
             print(f"serving at {server.url}")
 
             # 3. A burst of concurrent requests through the micro-batcher.

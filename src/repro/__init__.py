@@ -30,6 +30,9 @@ Subpackages
     with backpressure, JSON-over-HTTP front end, and metrics.
 """
 
+# First: under REPRO_LOCKCHECK=1 this arms the runtime lock checker
+# before any other submodule creates a module-level lock.
+from . import analysis
 from .core import TFMAE, TFMAEConfig, preset_for
 from .datasets import get_dataset, available_datasets
 from .detector import BaseDetector

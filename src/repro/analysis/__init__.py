@@ -21,14 +21,21 @@ Three coordinated layers (see ``docs/analysis.md``):
   ``threading`` locks recording the *observed* lock-order graph, spawn
   hazards, and hold-time histograms (``REPRO_LOCKCHECK=1``).
 
-The package itself loads only the runtime pieces (``anomaly`` and
-``shapecheck``; ``lockcheck`` loads with its first importer), so a
-serving or training process never imports the static passes.  Those
-are imported by module path: ``repro.analysis.lint``,
-``repro.analysis.concurrency`` and ``repro.analysis.rules``.
+The package itself loads only the runtime pieces (``lockcheck``,
+``anomaly`` and ``shapecheck``), so a serving or training process never
+imports the static passes.  Those are imported by module path:
+``repro.analysis.lint``, ``repro.analysis.concurrency`` and
+``repro.analysis.rules``.
 
 CLI: ``python -m repro analyze [lint|shapecheck|concurrency] [--all] [--json]``.
 """
+
+# Before ``anomaly`` and ``shapecheck`` import ``repro.nn``: under
+# REPRO_LOCKCHECK=1, a module-level lock created before arming goes
+# untracked.  ``import repro`` loads this package first.
+from . import lockcheck
+
+lockcheck.maybe_install_from_env()
 
 from .anomaly import AnomalyError, detect_anomaly, tensor_stats
 from .shapecheck import (

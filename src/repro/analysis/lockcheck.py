@@ -2,8 +2,8 @@
 
 The static pass (:mod:`repro.analysis.concurrency`) reasons about the
 lock graph it can see in the source; this module observes the graph that
-actually happens.  When installed (:func:`install`, or automatically in
-the test suite via ``REPRO_LOCKCHECK=1``), ``threading.Lock``,
+actually happens.  When installed (:func:`install`, or automatically on
+``import repro`` under ``REPRO_LOCKCHECK=1``), ``threading.Lock``,
 ``threading.RLock`` and ``threading.Condition`` are replaced with
 factories returning instrumented wrappers that record, per thread:
 
@@ -45,8 +45,8 @@ reads the declaration from the source and exempts those regions, while
 the runtime graph still tracks their ordering.
 
 Install early: only locks **created after** :func:`install` are
-instrumented, so the test harness installs at ``conftest`` import time,
-before ``repro.serve`` builds its module-level locks.
+instrumented, so ``import repro`` calls :func:`maybe_install_from_env`
+before any other repro module builds its module-level locks.
 """
 
 from __future__ import annotations
@@ -353,8 +353,8 @@ def install() -> None:
     """Patch ``threading.Lock``/``RLock``/``Condition`` with tracked factories.
 
     Idempotent.  Only locks created after this call are tracked; install
-    before importing modules whose import builds locks (the test harness
-    installs at conftest import time).
+    before importing modules whose import builds locks (``import repro``
+    does so from the environment, first).
     """
     with _STATE.lock:
         if _STATE.installed:

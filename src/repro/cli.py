@@ -91,27 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-size", type=int, default=256,
                        help="bounded request queue; beyond it requests are "
                             "shed with HTTP 429")
-    serve.add_argument("--threads", type=int, default=2,
-                       help="scoring worker threads for the in-process tier "
-                            "(ignored when --procs > 0)")
     serve.add_argument("--procs", type=int, default=0,
                        help="scoring worker processes (shards past the GIL "
-                            "with shared-memory weights); 0 keeps the "
-                            "in-process thread tier")
+                            "with shared-memory weights); 0 scores on one "
+                            "in-process thread")
     serve.add_argument("--max-inflight", type=int, default=64,
                        help="per-model in-flight quota in the process tier; "
                             "beyond it requests are shed with HTTP 429")
-    serve.add_argument("--load-retries", type=int, default=2,
-                       help="transient artifact-load failures retried per "
-                            "request (capped exponential backoff)")
-    serve.add_argument("--retry-backoff", type=float, default=0.05,
-                       help="base backoff delay in seconds between load retries")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive load failures before a model's "
-                            "circuit breaker opens")
-    serve.add_argument("--breaker-reset", type=float, default=30.0,
-                       help="seconds an open circuit breaker waits before "
-                            "admitting a half-open probe load")
     serve.add_argument("--demo", action="store_true",
                        help="fit a small TFMAE on synthetic data, publish it "
                             "as 'demo', then serve (no registry required)")
@@ -160,8 +146,6 @@ def _validate_serve_args(args: argparse.Namespace) -> None:
     """Reject nonsensical worker/quota counts before any socket binds."""
     if args.procs < 0:
         raise SystemExit(f"--procs must be >= 0, got {args.procs}")
-    if args.threads < 1:
-        raise SystemExit(f"--threads must be >= 1, got {args.threads}")
     if args.max_inflight < 1:
         raise SystemExit(f"--max-inflight must be >= 1, got {args.max_inflight}")
 
@@ -171,13 +155,7 @@ def _build_server(args: argparse.Namespace):
     from .serve import InferenceServer, ModelRegistry
 
     _validate_serve_args(args)
-    registry = ModelRegistry(
-        args.registry,
-        load_retries=args.load_retries,
-        retry_backoff=args.retry_backoff,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset=args.breaker_reset,
-    )
+    registry = ModelRegistry(args.registry)
     if args.demo:
         print("fitting demo TFMAE on a small NIPS-TS-Global realisation...")
         dataset = get_dataset("NIPS-TS-Global", seed=0, scale=0.02).normalised()
@@ -199,7 +177,6 @@ def _build_server(args: argparse.Namespace):
         port=args.port,
         max_batch_size=args.max_batch_size,
         max_queue=args.queue_size,
-        workers=args.threads,
         procs=args.procs,
         max_inflight_per_model=args.max_inflight,
     )

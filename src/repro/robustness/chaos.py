@@ -30,19 +30,20 @@ Fault taxonomy (:data:`CHAOS_FAULTS`):
     ``Retry-After``.
 ``worker_exception``
     The batcher's detector resolution raises mid-batch.  Expected: only
-    the affected requests error (500), the worker survives, subsequent
-    requests score normally.
+    the affected requests error (500), the scoring thread survives,
+    subsequent requests score normally.
 ``queue_saturation``
-    Workers are gated shut and the bounded queue filled.  Expected:
-    further submits shed immediately (429 ``Overloaded``), nothing is
-    lost — every parked request completes once the gate opens.
+    The scoring thread is gated shut and the bounded queue filled.
+    Expected: further submits shed immediately (429 ``Overloaded``),
+    nothing is lost — every parked request completes once the gate
+    opens.
 ``worker_process_kill``
     A process-pool worker is SIGKILLed mid-service (``--procs`` tier
     only).  Expected: the supervisor detects the death, fails only that
-    worker's in-flight requests as retryable, re-routes its shard on
-    the consistent-hash ring, respawns through the slot's circuit
-    breaker, and routes the shard back — models on other workers keep
-    serving throughout.
+    worker's in-flight requests as retryable, re-routes its shard to
+    the live workers, respawns through the slot's circuit breaker, and
+    routes the shard back — models on other workers keep serving
+    throughout.
 
 All injectors are reversible; use the harness as a context manager so
 ``clear()`` restores the pristine server even when an assertion fails.
@@ -203,11 +204,11 @@ class ChaosHarness:
     def inject_worker_exception(
         self, times: int = 1, models: set[str] | None = None
     ) -> dict:
-        """Make detector resolution raise inside the worker, ``times`` times.
+        """Make detector resolution raise on the scoring thread, ``times`` times.
 
         Exercises the batcher's failure isolation: the exception must be
         forwarded to exactly the requests in the failing group, and the
-        worker thread must survive to score the next batch.
+        scoring thread must survive to score the next batch.
         """
         state = {"left": times, "injected": 0}
         lock = threading.Lock()
@@ -229,7 +230,7 @@ class ChaosHarness:
         return state
 
     def saturate_queue(self, model_key: str, window: np.ndarray) -> int:
-        """Gate the workers shut and fill the bounded queue to capacity.
+        """Gate the scoring thread shut and fill the bounded queue to capacity.
 
         Submits requests until the batcher sheds (:class:`Overloaded`);
         they park behind the gate.  Returns how many were accepted.
@@ -240,28 +241,25 @@ class ChaosHarness:
         self._gate = threading.Event()
         original = self._original_detector_for
         gate = self._gate
-        parked_workers: list[None] = []
-        lock = threading.Lock()
+        scorer_parked = threading.Event()
 
         def gated(key: str):
-            with lock:
-                parked_workers.append(None)
+            scorer_parked.set()
             gate.wait()
             return original(key)
 
         self.batcher.detector_for = gated
         self._parked = []
-        workers = len(self.batcher._workers)
         while True:
             try:
                 self._parked.append(self.batcher.submit(model_key, window))
             except Overloaded:
-                # The first Overloaded is not saturation yet: workers may
-                # still be draining the queue into their (gate-blocked)
-                # batches, freeing capacity.  Only when every worker is
+                # The first Overloaded is not saturation yet: the scoring
+                # thread may still be draining the queue into its
+                # (gate-blocked) batch, freeing capacity.  Only when it is
                 # parked behind the gate AND the queue is full again does
                 # the next submit shed deterministically.
-                if (len(parked_workers) >= workers
+                if (scorer_parked.is_set()
                         and self.batcher.queue_depth >= self.batcher.max_queue):
                     break
                 time.sleep(0.005)

@@ -10,14 +10,14 @@ Pieces (each usable standalone):
 * :class:`ModelRegistry` — persist/load fitted detectors as named,
   versioned, fingerprinted ``.npz`` artifacts (built on
   ``repro.nn.serialization``), with load-on-demand LRU caching.
-* :class:`MicroBatcher` — bounded-queue micro-batching scheduler with a
-  worker-thread pool, greedy max-batch flush policy, and explicit
+* :class:`MicroBatcher` — bounded-queue micro-batching scheduler with
+  one scoring thread, greedy max-batch flush policy, and explicit
   load-shedding (:class:`Overloaded`).
 * :class:`ProcessPool` — the multi-process scoring tier: supervised
   worker processes sharded past the GIL, one shared-memory weight copy
-  per model (:class:`~repro.serve.shm.WeightSegment`), consistent-hash
-  model→worker routing (:class:`~repro.serve.hashring.HashRing`),
-  per-model admission quotas, and crash detection → re-route → respawn.
+  per model (:class:`~repro.serve.shm.WeightSegment`), rendezvous-hash
+  model→worker routing, per-model admission quotas, and crash
+  detection → re-route → respawn.
 * :class:`InferenceServer` — stdlib ``http.server`` front end exposing
   ``/score``, ``/predict``, ``/healthz``, ``/metrics``, ``/models``.
 * :class:`MetricsRegistry` — counters, gauges, and latency histograms
@@ -64,7 +64,6 @@ from .lifecycle import (
     WatchdogReport,
     shadow_compare,
 )
-from .hashring import HashRing
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .pool import ProcessPool
 from .registry import ModelRegistry, config_fingerprint
@@ -90,7 +89,6 @@ __all__ = [
     "MicroBatcher",
     "ScoreRequest",
     "ProcessPool",
-    "HashRing",
     "WeightSegment",
     "attach_segment",
     "InferenceServer",

@@ -10,8 +10,8 @@ module shards the scoring work across **worker processes**:
   (:mod:`repro.serve.shm`); every worker attaches the segment and binds
   read-only views as its parameters, so N workers map the same physical
   pages instead of holding N private copies.
-* **Consistent-hash routing.**  Model name → worker via
-  :class:`~repro.serve.hashring.HashRing`, so one worker's rebuilt
+* **Rendezvous routing.**  Model name → worker by highest-random-weight
+  hashing over the live slots (:func:`_route`), so one worker's rebuilt
   detector and JIT tapes stay hot for each model (cache locality).  A
   worker death re-routes only its shard; respawn routes it back.
 * **Admission control.**  A bounded per-model in-flight quota sheds
@@ -21,8 +21,8 @@ module shards the scoring work across **worker processes**:
 * **Supervision.**  A supervisor thread heartbeats every worker,
   detects crashes (EOF on the result pipe or ``is_alive`` going false),
   fails that worker's in-flight requests with
-  :class:`~repro.serve.errors.TransientFault` (clients retry), removes
-  it from the ring, and respawns through a per-slot
+  :class:`~repro.serve.errors.TransientFault` (clients retry), stops
+  routing to it, and respawns through a per-slot
   :class:`~repro.serve.breaker.CircuitBreaker` so a crash-looping
   worker backs off instead of thrashing — one shard degrades, never the
   server.
@@ -56,6 +56,7 @@ the thread scheduler does, now per shard.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import multiprocessing as mp
 import os
 import signal
@@ -78,7 +79,6 @@ from .errors import (
     ServeError,
     TransientFault,
 )
-from .hashring import HashRing
 from .metrics import MetricsRegistry
 from .registry import _tfmae_build, _tfmae_export
 from .scheduler import score_groups
@@ -120,6 +120,22 @@ def _rebuild_error(kind: str, message: str) -> Exception:
         if kind == known:
             return exc_type(message)
     return RuntimeError(message)
+
+
+def _route(name: str, slots) -> str:
+    """The slot serving ``name``: rendezvous (highest-random-weight) hashing.
+
+    A slot's weight is the SHA-1 of ``name#slot`` (not the per-process
+    salted ``hash()``), so every process and run agrees; losing a slot
+    moves only the names it won, and regaining it wins them back.
+    Raises :class:`TransientFault` (retryable) when no slot is live.
+    """
+    if not slots:
+        raise TransientFault(
+            "no scoring workers alive; supervisor is respawning — retry"
+        )
+    return max(slots,
+               key=lambda slot: hashlib.sha1(f"{name}#{slot}".encode()).digest())
 
 
 def _spawn_guard(context: str) -> None:
@@ -308,7 +324,7 @@ class _WorkerHandle:
 
 
 class ProcessPool:
-    """Supervised worker processes scoring behind consistent-hash routing.
+    """Supervised worker processes scoring behind rendezvous routing.
 
     Parameters
     ----------
@@ -355,11 +371,10 @@ class ProcessPool:
         self.heartbeat_interval = heartbeat_interval
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._ctx = mp.get_context("spawn")
-        self._ring = HashRing()
         # Guards parent-side bookkeeping only (workers/inflight/specs
-        # maps); all blocking work — spawn, pipe sends, shared-memory
-        # publish — happens outside it.  Order: never taken while
-        # holding send_lock or the ring lock.
+        # maps, and so the live slots routing reads); all blocking work
+        # — spawn, pipe sends, shared-memory publish — happens outside
+        # it.  Order: never taken while holding send_lock.
         self._lock = named_lock("serve.pool", kind="rlock")
         self._workers: dict[str, _WorkerHandle] = {}
         self._breakers: dict[str, CircuitBreaker] = {
@@ -464,7 +479,7 @@ class ProcessPool:
     # spawning / supervision
     # ------------------------------------------------------------------
     def _spawn(self, slot: str) -> None:
-        """Start one worker for ``slot`` and route its shard to it.
+        """Start one worker for ``slot``; registering it routes its shard to it.
 
         Called with NO pool lock held — the spawn itself blocks, and the
         runtime lockcheck records any lock held across it as a hazard.
@@ -486,11 +501,7 @@ class ProcessPool:
         with self._lock:
             aborted = self._closed
             if not aborted:
-                # Register and route in one step, as _on_worker_exit
-                # unroutes: status() must never show a live slot that
-                # the ring does not route to yet.
                 self._workers[slot] = handle
-                self._ring.add_node(slot)
         if aborted:
             # stop() won the race while we were spawning: tear down the
             # orphan worker instead of registering it.
@@ -557,7 +568,6 @@ class ProcessPool:
             if handle.state == "dead" or self._workers.get(handle.slot) is not handle:
                 return
             handle.state = "dead"
-            self._ring.remove_node(handle.slot)
             orphans = [req_id for req_id, entry in self._inflight.items()
                        if entry.slot == handle.slot]
             closed = self._closed
@@ -637,12 +647,7 @@ class ProcessPool:
                 self.metrics.counter("serve_pool_shed_total", model=name).inc()
                 raise Overloaded(depth=self.max_inflight_per_model,
                                  capacity=self.max_inflight_per_model)
-            try:
-                slot = self._ring.node_for(name)
-            except LookupError:
-                raise TransientFault(
-                    "no scoring workers alive; supervisor is respawning — retry"
-                ) from None
+            slot = self.worker_for(name)
             handle = self._workers[slot]
             # Reserve the quota slot before dropping the lock so a burst
             # of concurrent submits cannot overshoot while publishing.
@@ -758,8 +763,14 @@ class ProcessPool:
             return len(self._inflight)
 
     def worker_for(self, name: str) -> str:
-        """The slot currently owning ``name`` on the ring."""
-        return self._ring.node_for(name)
+        """The live slot currently serving ``name`` (see :func:`_route`).
+
+        Raises :class:`TransientFault` when no worker is alive.
+        """
+        with self._lock:
+            live = [slot for slot, handle in self._workers.items()
+                    if handle.state == "live"]
+            return _route(name, live)
 
     def worker_pid(self, slot: str) -> int | None:
         with self._lock:
@@ -862,7 +873,7 @@ class ProcessPool:
         snapshot = []
         for name in names:
             try:
-                snapshot.append((name, self._ring.node_for(name)))
-            except LookupError:
+                snapshot.append((name, self.worker_for(name)))
+            except TransientFault:
                 snapshot.append((name, "unrouted"))
         return snapshot

@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..analysis.lockcheck import named_lock
+from ..analysis.shapecheck import preflight_model
 from ..detector import BaseDetector
 from ..nn.module import Module
 from ..nn.serialization import (
@@ -92,26 +93,6 @@ _QUARANTINE_DIR = "quarantine"
 #: The detector type (class name) every artifact records and the only
 #: one the registry and the process pool can take apart and rebuild.
 _DETECTOR_TYPE = "TFMAE"
-
-
-def _preflight_module(module: Module) -> None:
-    """Shape/dtype/grad-flow check a model before it becomes an artifact.
-
-    Duck-typed: runs only for modules following the detector-model
-    contract (``config.window_size``, ``n_features``, ``loss``) whose
-    config opts in via ``preflight=True`` — a broken graph is caught at
-    publish time instead of on the first serving request.  Raises
-    :class:`repro.analysis.ShapeCheckError`.
-    """
-    config = getattr(module, "config", None)
-    if config is None or not getattr(config, "preflight", False):
-        return
-    if not (hasattr(module, "loss") and hasattr(module, "n_features")
-            and hasattr(config, "window_size")):
-        return
-    from ..analysis.shapecheck import preflight_model
-
-    preflight_model(module)
 
 
 def config_fingerprint(payload: dict) -> str:
@@ -269,7 +250,9 @@ class ModelRegistry:
         """
         _validate_component(name, "model name")
         module, hyperparams = _tfmae_export(detector)
-        _preflight_module(module)
+        if module.config.preflight:
+            # A broken graph fails at publish, not on the first request.
+            preflight_model(module)
 
         with self._name_lock(name):
             if version is None:

@@ -9,8 +9,8 @@ streaming share one batched hot path).
 
 Flow::
 
-    submit() ──> bounded FIFO queue ──> worker pool (threads)
-                     │                      each worker:
+    submit() ──> bounded FIFO queue ──> one scoring thread
+                     │                      each batch:
                      │ full? shed load        1. block on first request
                      ▼ (Overloaded)           2. sweep what else is
                                                  queued, up to
@@ -28,11 +28,16 @@ Guarantees:
 * **Bounded memory** — the queue holds at most ``max_queue`` requests;
   beyond that ``submit`` raises :class:`Overloaded` immediately
   (load-shedding, never unbounded latency).
-* **Bounded latency** — a lone request on an idle worker is scored at
+* **Bounded latency** — a lone request on an idle scorer is scored at
   once, in a batch of one.  Requests that arrive while a batch is
   scoring coalesce into the next batch, so batching needs no wait.
 * **Graceful shutdown** — ``stop()`` rejects new work, drains everything
-  already accepted, and joins the workers.
+  already accepted, and joins the scoring thread.
+
+One thread is the whole in-process tier: on the measured hardware a
+second scoring thread in one interpreter never beat a second worker
+process (``docs/serving.md``), so scaling past one scorer is the
+process pool's job (:class:`~repro.serve.pool.ProcessPool`).
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .metrics import MetricsRegistry
 
 __all__ = ["MicroBatcher", "ScoreRequest", "score_groups"]
 
-#: Queue sentinel telling one worker to exit after the drain.
+#: Queue sentinel telling the scoring thread to exit after the drain.
 _STOP = object()
 
 
@@ -107,17 +112,14 @@ class MicroBatcher:
     detector_for:
         Maps a model key (any string the caller chooses, e.g.
         ``"name:version"``) to a fitted detector.  Called once per batch
-        group on the worker thread; pair it with
+        group on the scoring thread; pair it with
         :class:`~repro.serve.registry.ModelRegistry` for cached loading.
         Read on every batch, so reassigning it takes effect at once.
     max_batch_size:
-        Most windows a worker takes from the queue for one batch.  It
-        never waits for company: it scores whatever is queued.
+        Most windows the scoring thread takes from the queue for one
+        batch.  It never waits for company: it scores whatever is queued.
     max_queue:
         Bounded queue capacity; beyond it ``submit`` sheds load.
-    workers:
-        Scoring threads.  Each owns its batch end to end, so batches are
-        scored in parallel while numpy releases the GIL.
     metrics:
         Optional :class:`MetricsRegistry`; the batcher records queue
         depth, batch sizes, shed counts, and per-model scored counts.
@@ -128,25 +130,19 @@ class MicroBatcher:
         detector_for: Callable[[str], BaseDetector],
         max_batch_size: int = 32,
         max_queue: int = 256,
-        workers: int = 1,
         metrics: MetricsRegistry | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.detector_for = detector_for
         self.max_batch_size = max_batch_size
         self.max_queue = max_queue
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
-        self._workers = [
-            threading.Thread(target=self._worker_loop, name=f"repro-serve-worker-{i}",
-                             daemon=True)
-            for i in range(workers)
-        ]
+        self._scorer = threading.Thread(target=self._scorer_loop,
+                                        name="repro-serve-scorer", daemon=True)
         self._state_lock = named_lock("serve.scheduler.state")
         self._started = False
         self._closed = False
@@ -159,39 +155,30 @@ class MicroBatcher:
             if self._closed:
                 raise ServeError("batcher was stopped; create a new one")
             if not self._started:
-                for worker in self._workers:
-                    worker.start()
+                self._scorer.start()
                 self._started = True
-                self.metrics.gauge("serve_workers").set(len(self._workers))
         return self
 
     def stop(self, timeout: float | None = 10.0) -> None:
-        """Reject new work, drain accepted requests, join the workers.
+        """Reject new work, drain accepted requests, join the scoring thread.
 
-        FIFO ordering makes the drain exact: the stop sentinels are
-        enqueued after every accepted request, so each worker processes
-        all real work it encounters before its sentinel.
+        FIFO ordering makes the drain exact: the stop sentinel is
+        enqueued after every accepted request, so the scoring thread
+        processes all real work before it.
         """
         with self._state_lock:
             if self._closed:
                 return
             self._closed = True
             started = self._started
-            # Sentinels go in under the same lock submit() holds for its
-            # put, so no request can slip in behind them and starve.  A
-            # full queue is fine: workers keep draining it without the
-            # lock, so these puts always make progress.
-            for _ in self._workers:
-                # The sentinel MUST be enqueued while holding the same
-                # lock submit() uses, or a racing submit slips a request
-                # behind it that no worker will ever drain.  The put
-                # cannot stall: workers consume without the lock, so the
-                # queue always makes room.
-                self._queue.put(_STOP)  # repro: noqa[BLK001]
+            # The sentinel MUST be enqueued while holding the same lock
+            # submit() uses, or a racing submit slips a request behind it
+            # that nothing will ever drain.  The put cannot stall: the
+            # scoring thread consumes without the lock, so a full queue
+            # always makes room.
+            self._queue.put(_STOP)  # repro: noqa[BLK001]
         if started:
-            for worker in self._workers:
-                worker.join(timeout=timeout)
-        self.metrics.gauge("serve_workers").set(0)
+            self._scorer.join(timeout=timeout)
 
     def __enter__(self) -> "MicroBatcher":
         return self.start()
@@ -237,7 +224,7 @@ class MicroBatcher:
         return self.submit(model_key, window).result(timeout=timeout)
 
     # ------------------------------------------------------------------
-    # worker side
+    # scoring side
     # ------------------------------------------------------------------
     def _collect_batch(self) -> tuple[list[ScoreRequest], bool]:
         """Block for the first request, then take what else is queued.
@@ -280,7 +267,7 @@ class MicroBatcher:
                 if request.future.set_running_or_notify_cancel():
                     request.future.set_result(float(score))
 
-    def _worker_loop(self) -> None:
+    def _scorer_loop(self) -> None:
         while True:
             batch, saw_stop = self._collect_batch()
             if batch:

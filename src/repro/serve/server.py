@@ -3,11 +3,11 @@
 Zero third-party dependencies: :class:`http.server.ThreadingHTTPServer`
 accepts connections (one handler thread per in-flight request) and
 handlers hand windows to the scoring tier.  Two tiers are available:
-the in-process :class:`~repro.serve.scheduler.MicroBatcher` thread pool
-(default), or — with ``procs > 0`` — the
+the in-process :class:`~repro.serve.scheduler.MicroBatcher` with one
+scoring thread (default), or — with ``procs > 0`` — the
 :class:`~repro.serve.pool.ProcessPool`, which shards scoring across
 worker processes (past the GIL) with shared-memory weights and
-consistent-hash routing.
+rendezvous routing.
 
 Endpoints
 ---------
@@ -270,7 +270,6 @@ class InferenceServer:
         port: int = 8080,
         max_batch_size: int = 32,
         max_queue: int = 256,
-        workers: int = 1,
         procs: int = 0,
         max_inflight_per_model: int = 64,
         metrics: MetricsRegistry | None = None,
@@ -281,12 +280,11 @@ class InferenceServer:
             detector_for=self._detector_for,
             max_batch_size=max_batch_size,
             max_queue=max_queue,
-            workers=workers,
             metrics=self.metrics,
         )
         #: ``procs > 0`` swaps the scoring tier: windows route to the
         #: process pool (sharded past the GIL) instead of the in-process
-        #: thread scheduler; ``procs=0`` keeps the thread fallback.
+        #: scheduler's one scoring thread, which ``procs=0`` keeps.
         self.pool: ProcessPool | None = None
         if procs > 0:
             self.pool = ProcessPool(
@@ -366,7 +364,6 @@ class InferenceServer:
             "status": "degraded" if degraded else "ok",
             "models": models,
             "queue_depth": self.batcher.queue_depth,
-            "workers": len(self.batcher._workers),
         }
         if self.pool is not None:
             pool = self.pool.status()
@@ -454,10 +451,10 @@ class InferenceServer:
         stops (pool workers exit and their shared memory is released)."""
         self._start_scoring_tier()
         host, port = self._httpd.server_address[:2]
-        tier = (f"{self.pool.procs} worker processes" if self.pool is not None
-                else f"{len(self.batcher._workers)} worker threads")
+        tier = (f"{self.pool.procs} worker processes; " if self.pool is not None
+                else "")
         print(f"repro.serve listening on http://{host}:{port} "
-              f"({tier}; models: {', '.join(self.registry.models()) or 'none'})",
+              f"({tier}models: {', '.join(self.registry.models()) or 'none'})",
               flush=True)
         # SIGTERM (a service manager's stop) takes the Ctrl-C path.  Only
         # the main thread may install a handler.

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-# Lockcheck must be armed BEFORE any repro import creates a module-level
-# lock, or those locks escape instrumentation (REPRO_LOCKCHECK=1 only).
+# ``import repro`` arms lockcheck under REPRO_LOCKCHECK=1 before any
+# repro module creates a lock; here it is only read.
 from repro.analysis import lockcheck as _lockcheck
 
-_LOCKCHECK_ON = _lockcheck.maybe_install_from_env()
+_LOCKCHECK_ON = _lockcheck.installed()
 
 import numpy as np
 import pytest

@@ -51,8 +51,7 @@ def _server(tmp_path, detector, names=("tfmae",), versions=1, **registry_kwargs)
     for name in names:
         for _ in range(versions):
             registry.publish(name, detector)
-    server = InferenceServer(registry, port=0, max_batch_size=4,
-                             max_queue=8, workers=2)
+    server = InferenceServer(registry, port=0, max_batch_size=4, max_queue=8)
     with server:
         yield server
 
@@ -233,27 +232,29 @@ class TestPoolFaults:
     ):
         """worker_process_kill: detection → re-route → respawn → recovery.
 
-        Two models on a two-worker pool; SHA-1 ring placement is stable
-        across runs, so "tfmae" and "other" land on different workers.
-        Killing tfmae's worker must leave "other" serving bitwise-stable
+        Two models on a two-worker pool; the second is named so that the
+        pool routes it to the worker "tfmae" does not use.  Killing
+        tfmae's worker must leave the other model serving bitwise-stable
         scores throughout, and tfmae must come back on the respawned
         worker with scores bitwise equal to before the crash.
         """
         payload = {"model": "tfmae", "window": sine_series[:50].tolist()}
-        other_payload = {"model": "other", "window": sine_series[:50].tolist()}
         registry = ModelRegistry(tmp_path / "registry")
         registry.publish("tfmae", fitted_tfmae)
-        registry.publish("other", fitted_tfmae)
         server = InferenceServer(registry, port=0, procs=2)
         with server:
+            pool = server.pool
+            other = next(name for name in (f"other-{i}" for i in range(64))
+                         if pool.worker_for(name) != pool.worker_for("tfmae"))
+            registry.publish(other, fitted_tfmae)
+            other_payload = {"model": other, "window": sine_series[:50].tolist()}
             status, body, _ = _post(server.url, "/score", payload)
             assert status == 200
             baseline = body["score"]
             status, body, _ = _post(server.url, "/score", other_payload)
             assert status == 200
             other_baseline = body["score"]
-            pool = server.pool
-            assert pool.worker_for("tfmae") != pool.worker_for("other")
+            assert pool.worker_for("tfmae") != pool.worker_for(other)
             with ChaosHarness(server) as chaos:
                 victim = chaos.kill_worker(model="tfmae")
                 # The healthy model's worker is untouched: it serves

@@ -388,8 +388,7 @@ class TestSwapSafety:
             loaded, _ = registry.load(name, version or None)
             return loaded
 
-        with MicroBatcher(detector_for=detector_for, max_batch_size=8,
-                          workers=2) as batcher:
+        with MicroBatcher(detector_for=detector_for, max_batch_size=8) as batcher:
             futures = [batcher.submit("tfmae:v1", window) for window in windows[:12]]
             # Publish and promote a refit candidate while those batches
             # are in flight.

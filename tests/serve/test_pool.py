@@ -1,4 +1,4 @@
-"""Process-pool tier: ring routing, shared weights, equivalence, supervision.
+"""Process-pool tier: routing, shared weights, equivalence, supervision.
 
 Pool startup pays a worker-process spawn (~seconds of interpreter +
 import time each), so the integration tests share one module-scoped
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    HashRing,
     MicroBatcher,
     Overloaded,
     ProcessPool,
@@ -28,60 +27,49 @@ from repro.serve.pool import (
     _BLAS_THREAD_VARS,
     _classify,
     _rebuild_error,
+    _route,
     _single_threaded_blas,
 )
 
 
-class TestHashRing:
+class TestRouting:
+    SLOTS = ["w0", "w1", "w2"]
+
     def test_routing_is_stable_and_total(self):
-        ring = HashRing(["w0", "w1", "w2"])
         keys = [f"model-{i}" for i in range(64)]
-        owners = {key: ring.node_for(key) for key in keys}
-        assert set(owners.values()) <= {"w0", "w1", "w2"}
-        assert {key: ring.node_for(key) for key in keys} == owners
+        owners = {key: _route(key, self.SLOTS) for key in keys}
+        assert set(owners.values()) <= set(self.SLOTS)
+        assert {key: _route(key, list(reversed(self.SLOTS))) for key in keys} == owners
 
     def test_node_death_moves_only_its_shard(self):
-        ring = HashRing(["w0", "w1", "w2"])
         keys = [f"model-{i}" for i in range(200)]
-        before = {key: ring.node_for(key) for key in keys}
-        ring.remove_node("w1")
-        after = {key: ring.node_for(key) for key in keys}
+        before = {key: _route(key, self.SLOTS) for key in keys}
+        survivors = ["w0", "w2"]
+        after = {key: _route(key, survivors) for key in keys}
         for key in keys:
             if before[key] != "w1":
                 assert after[key] == before[key]  # survivors keep their shard
             else:
-                assert after[key] in ("w0", "w2")
+                assert after[key] in survivors
 
     def test_respawn_routes_shard_back(self):
-        ring = HashRing(["w0", "w1", "w2"])
         keys = [f"model-{i}" for i in range(200)]
-        before = {key: ring.node_for(key) for key in keys}
-        ring.remove_node("w2")
-        ring.add_node("w2")
-        assert {key: ring.node_for(key) for key in keys} == before
+        before = {key: _route(key, self.SLOTS) for key in keys}
+        assert {key: _route(key, ["w0", "w1"]) for key in keys} != before
+        assert {key: _route(key, ["w0", "w1", "w2"]) for key in keys} == before
 
-    def test_empty_ring_raises_lookup_error(self):
-        ring = HashRing()
-        with pytest.raises(LookupError):
-            ring.node_for("anything")
+    def test_no_live_slot_is_retryable(self):
+        with pytest.raises(TransientFault):
+            _route("anything", [])
 
-    def test_membership_ops_are_idempotent(self):
-        ring = HashRing(["w0"])
-        ring.add_node("w0")
-        assert len(ring) == 1
-        ring.remove_node("missing")
-        ring.remove_node("w0")
-        ring.remove_node("w0")
-        assert len(ring) == 0 and "w0" not in ring
-
-    def test_virtual_nodes_spread_load(self):
-        ring = HashRing([f"w{i}" for i in range(4)], replicas=64)
+    def test_load_spreads_over_slots(self):
+        slots = [f"w{i}" for i in range(4)]
         counts: dict[str, int] = {}
         for i in range(2000):
-            owner = ring.node_for(f"key-{i}")
+            owner = _route(f"key-{i}", slots)
             counts[owner] = counts.get(owner, 0) + 1
         assert len(counts) == 4
-        assert min(counts.values()) > 2000 / 4 * 0.4  # no starved node
+        assert min(counts.values()) > 2000 / 4 * 0.4  # no starved slot
 
 
 class TestWeightSegment:
@@ -140,7 +128,7 @@ class TestProcessPool:
     ):
         window = sine_series[-50:]
         direct = float(fitted_tfmae.score_last(window[None])[0])
-        batcher = MicroBatcher(detector_for=lambda key: fitted_tfmae, workers=2)
+        batcher = MicroBatcher(detector_for=lambda key: fitted_tfmae)
         with batcher:
             threaded = batcher.score("tfmae:v1", window)
         assert threaded == direct

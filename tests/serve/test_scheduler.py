@@ -53,8 +53,7 @@ class TestEquivalence:
         windows = [sine_series[i : i + 50] for i in range(80, 200, 2)]
         expected = np.array([fitted_tfmae.score(w)[-1] for w in windows])
         results: list[float | None] = [None] * len(windows)
-        with _batcher_for(fitted_tfmae, max_batch_size=8,
-                          workers=3) as batcher:
+        with _batcher_for(fitted_tfmae, max_batch_size=8) as batcher:
 
             def client(index: int) -> None:
                 results[index] = batcher.score("m", windows[index], timeout=60)
@@ -199,7 +198,7 @@ class TestLifecycle:
                 future.result(timeout=10)
 
     def test_invalid_parameters(self, toy_detector):
-        for kwargs in ({"max_batch_size": 0}, {"max_queue": 0}, {"workers": 0}):
+        for kwargs in ({"max_batch_size": 0}, {"max_queue": 0}):
             with pytest.raises(ValueError):
                 _batcher_for(toy_detector, **kwargs)
 

@@ -50,8 +50,7 @@ def served(tmp_path_factory, fitted_tfmae):
     registry = ModelRegistry(tmp_path_factory.mktemp("registry"))
     registry.publish("tfmae", fitted_tfmae)     # v1
     registry.publish("tfmae", fitted_tfmae)     # v2 (same weights, tests "latest")
-    server = InferenceServer(registry, port=0, max_batch_size=8,
-                             workers=2)
+    server = InferenceServer(registry, port=0, max_batch_size=8)
     with server:
         yield server
 
@@ -173,7 +172,6 @@ class TestEndToEnd:
         assert model["breaker"] == "closed"
         assert model["degraded"] is False
         assert body["queue_depth"] == 0
-        assert body["workers"] == 2
 
     def test_forced_open_breaker_flips_healthz(self, served):
         """Regression for the health payload: breaker state must surface

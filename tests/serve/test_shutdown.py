@@ -39,7 +39,7 @@ def test_inflight_request_drains_before_thread_tier_stops(
     """A request parked inside scoring completes even when stop() races it."""
     registry = ModelRegistry(tmp_path / "registry")
     registry.publish("tfmae", fitted_tfmae)
-    server = InferenceServer(registry, port=0, workers=1)
+    server = InferenceServer(registry, port=0)
     server.start()
     payload = {"model": "tfmae", "window": sine_series[:50].tolist()}
     _, body = _post_score(server.url, payload)
@@ -126,12 +126,12 @@ def test_concurrent_scores_drain_under_process_pool(
 def test_stop_is_idempotent_and_releases_port(tmp_path, fitted_tfmae):
     registry = ModelRegistry(tmp_path / "registry")
     registry.publish("tfmae", fitted_tfmae)
-    server = InferenceServer(registry, port=0, workers=1)
+    server = InferenceServer(registry, port=0)
     host, port = server.start()
     server.stop()
     server.stop()  # second stop is a no-op, not an error
     # The port is free again: a new server can bind it immediately.
-    rebound = InferenceServer(registry, host=host, port=port, workers=1)
+    rebound = InferenceServer(registry, host=host, port=port)
     rebound.start()
     rebound.stop()
 

@@ -33,23 +33,28 @@ class TestParser:
         assert args.max_batch_size == 32
         assert args.queue_size == 256
         assert args.procs == 0  # thread tier unless --procs asks for the pool
-        assert args.threads == 2
         assert args.max_inflight == 64
         assert not args.demo
 
     def test_serve_threads_flag(self):
-        args = build_parser().parse_args(["serve", "--threads", "4"])
-        assert args.threads == 4
+        # The in-process tier scores on one thread; processes scale it.
+        for argv in (["--threads", "4"], ["--workers", "3"], ["--max-delay-ms", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *argv])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--load-retries", "1"), ("--retry-backoff", "0.1"),
+        ("--breaker-threshold", "5"), ("--breaker-reset", "10"),
+    ])
+    def test_serve_has_no_registry_default_flags(self, flag, value):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--workers", "3"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--max-delay-ms", "2"])
+            build_parser().parse_args(["serve", flag, value])
 
     @pytest.mark.parametrize("argv, message", [
         (["serve", "--procs", "-1"], "--procs must be >= 0"),
-        (["serve", "--threads", "0"], "--threads must be >= 1"),
-        (["serve", "--threads", "-2"], "--threads must be >= 1"),
-        (["serve", "--threads", "0", "--procs", "2"], "--threads must be >= 1"),
+        (["serve", "--procs", "-1", "--max-inflight", "0"], "--procs must be >= 0"),
+        (["serve", "--procs", "2", "--max-inflight", "0"], "--max-inflight must be >= 1"),
+        (["serve", "--procs", "0", "--max-inflight", "-1"], "--max-inflight must be >= 1"),
         (["serve", "--max-inflight", "0"], "--max-inflight must be >= 1"),
         (["serve", "--max-inflight", "-5"], "--max-inflight must be >= 1"),
     ])
@@ -64,7 +69,7 @@ class TestParser:
         from repro.cli import _validate_serve_args
 
         args = build_parser().parse_args(
-            ["serve", "--procs", "0", "--threads", "1", "--max-inflight", "1"])
+            ["serve", "--procs", "0", "--max-inflight", "1"])
         _validate_serve_args(args)  # does not raise
 
 
@@ -124,7 +129,7 @@ class TestCommands:
 
         args = build_parser().parse_args(
             ["serve", "--registry", str(tmp_path), "--port", "0",
-             "--max-batch-size", "4", "--threads", "1"]
+             "--max-batch-size", "4"]
         )
         server = _build_server(args)
         assert server.batcher.max_batch_size == 4
